@@ -92,6 +92,13 @@ def wmmse(
     iteration stops once its change drops below ``tol``.  ``amplitude`` is
     the common beam amplitude of the received-signal model and defaults to
     (N/K)*sqrt(p_t).
+
+    Each precoder block is solved exactly by :func:`_solve_unit_ball`: one
+    eigendecomposition, then a few safeguarded Newton steps per beam on its
+    water level, warm-started from the previous outer iteration's levels.
+    The MSE weights divide by the interference-plus-noise power summed
+    directly: 1 - |desired|^2/total cancels to zero, an infinite weight,
+    when the noise is negligible next to the signal.
     """
     if noise.variance <= 0:
         raise ValueError("WMMSE requires a positive noise variance")
@@ -103,18 +110,18 @@ def wmmse(
     sigma2 = noise.variance
 
     w = _regularized_inversion(h, k * sigma2 / (amplitude * amplitude))
+    # cross gains: c[k, j] = g_k^H w_j
+    c = g.conj() @ w.T
+    sig, rest = _desired_and_rest(c, sigma2)
+    mu = np.zeros(k)
     history = []
     converged = False
     iterations = 0
     for it in range(max_iters):
         iterations = it + 1
-        # cross gains: c[k, j] = g_k^H w_j
-        c = g.conj() @ w.T
-        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
-        diag = np.diagonal(c)
-        u = diag / totals
-        mse = 1.0 - np.abs(diag) ** 2 / totals
-        lam = 1.0 / mse
+        totals = sig + rest
+        u = np.diagonal(c) / totals
+        lam = totals / rest  # 1 / MSE
 
         # precoder block: minimize w^H A w - 2 Re(b_k^H w) per beam over the
         # unit ball, A = sum_j lam_j |u_j|^2 g_j g_j^H, b_k = lam_k u_k^* g_k;
@@ -122,12 +129,12 @@ def wmmse(
         coeffs = lam * np.abs(u) ** 2
         a = (g.T * coeffs) @ g.conj()
         b = g.T * (lam * np.conj(u))
-        w = _solve_unit_ball(a, b).T
+        w, mu = _solve_unit_ball(a, b, mu)
+        w = w.T
 
         c = g.conj() @ w.T
-        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
-        sig = np.abs(np.diagonal(c)) ** 2
-        wsr = float(np.sum(np.log2(1.0 + sig / (totals - sig))))
+        sig, rest = _desired_and_rest(c, sigma2)
+        wsr = float(np.sum(np.log2(1.0 + sig / rest)))
         history.append(wsr)
         if it > 0 and abs(history[-1] - history[-2]) < tol:
             converged = True
@@ -151,6 +158,18 @@ def wmmse(
     )
 
 
+def _desired_and_rest(c: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Desired power |c_kk|^2 and interference-plus-noise power per device.
+
+    The interference sums the off-diagonal cross gains directly, so it
+    stays exact however small it is next to the desired power.
+    """
+    power = np.abs(c) ** 2
+    sig = np.diagonal(power).copy()
+    np.fill_diagonal(power, 0.0)
+    return sig, np.sum(power, axis=1) + sigma2
+
+
 def _regularized_inversion(h: np.ndarray, reg: float) -> np.ndarray:
     """Unit-norm MMSE-regularized inversion beams, rows per device."""
     stack = h.conj()  # rows h_k^H
@@ -159,48 +178,68 @@ def _regularized_inversion(h: np.ndarray, reg: float) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _solve_unit_ball(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+_NEWTON_TOL = 1e-13  # stop a beam once | ||w_k|| - 1 | is this small
+_NEWTON_STEPS = 50  # per-solve cap; Newton needs about 15 steps from a cold start
+
+
+def _solve_unit_ball(
+    a: np.ndarray, b: np.ndarray, mu0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise solve of min w^H a w - 2 Re(b_k^H w) over the unit ball.
 
     KKT: w_k = (a + mu_k I)^{-1} b_k with the smallest mu_k >= 0 giving
-    ||w_k|| <= 1; the water levels of all beams are bisected jointly.
-    ``a`` is Hermitian PSD and may be singular; components of b below the
-    numerical rank are discarded, which is safe because every b_k lies in
-    the range of ``a`` up to roundoff.
+    ||w_k|| <= 1.  Returns the solutions as columns, (N, K), and the water
+    levels mu, (K,).  ``a`` is Hermitian PSD and may be singular; components
+    of b below the numerical rank are discarded, which is safe because every
+    b_k lies in the range of ``a`` up to roundoff.
+
+    In the eigenbasis of ``a``, ||w_k(mu)||^2 = sum_i |bt_ik|^2/(l_i + mu)^2
+    with bt = V^H b, so ||w_k(mu)|| <= ||bt_k||/mu and the root of the
+    secular equation ||w_k(mu)|| = 1 lies in [0, ||bt_k||].  Each beam whose
+    unconstrained solution leaves the ball takes Newton steps on
+    1/||w_k(mu)|| = 1 (Moré & Sorensen 1983), mu <- mu + (||p||^2/||q||^2)
+    (||p|| - 1) with ||q||^2 = sum_i |bt_ik|^2/(l_i + mu)^3; a step that
+    leaves the current bracket is replaced by a bisection step.  As
+    1/||w_k(mu)|| is concave in mu, the steps approach the root
+    monotonically once below it.  ``mu0`` warm-starts each beam where it
+    lies inside the bracket; otherwise a beam starts at mu = 0.  A beam
+    stops once | ||w_k|| - 1 | <= _NEWTON_TOL; one still open after
+    _NEWTON_STEPS steps takes the upper end of its bracket, where
+    ||w_k|| <= 1.
     """
     vals, vecs = np.linalg.eigh(a)
+    keep = vals > max(vals[-1], 0.0) * 1e-12
+    vals, vecs = vals[keep], vecs[:, keep]
     bt = vecs.conj().T @ b
-    cutoff = max(vals[-1], 0.0) * 1e-12
-    bt[vals <= cutoff] = 0.0
-    vals = np.maximum(vals, 0.0)
-    weights = np.abs(bt) ** 2  # (n_eig, K)
+    weights = np.abs(bt) ** 2  # (rank, K)
 
-    def norms2(mu: np.ndarray) -> np.ndarray:
-        denom = (vals[:, None] + mu[None, :]) ** 2
-        out = np.divide(weights, denom, out=np.zeros_like(weights), where=denom > 0)
-        return np.sum(out, axis=0)
+    mu = np.zeros(bt.shape[1])
+    beams = np.flatnonzero(np.sum(weights / vals[:, None] ** 2, axis=0) > 1.0)
+    wt = weights[:, beams]
+    lo = np.zeros(beams.size)
+    hi = np.sqrt(np.sum(wt, axis=0))
+    x = np.zeros(beams.size) if mu0 is None else mu0[beams]
+    x = np.where((x > lo) & (x < hi), x, lo)
+    for _ in range(_NEWTON_STEPS):
+        if beams.size == 0:
+            break
+        inv = 1.0 / (vals[:, None] + x)
+        terms = wt * inv**2
+        p2 = terms.sum(axis=0)
+        q2 = (terms * inv).sum(axis=0)
+        p = np.sqrt(p2)
+        outside = p > 1.0
+        lo = np.where(outside, x, lo)
+        hi = np.where(outside, hi, x)
+        step = x + (p2 / q2) * (p - 1.0)
+        x_next = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        done = np.abs(p - 1.0) <= _NEWTON_TOL
+        mu[beams[done]] = x[done]
+        open_ = ~done
+        beams, wt, lo, hi, x = beams[open_], wt[:, open_], lo[open_], hi[open_], x_next[open_]
+    mu[beams] = hi
 
-    k = bt.shape[1]
-    mu = np.zeros(k)
-    need = norms2(mu) > 1.0
-    if np.any(need):
-        hi = np.ones(k)
-        while True:
-            over = need & (norms2(hi) > 1.0)
-            if not np.any(over):
-                break
-            hi[over] *= 2.0
-        lo = np.zeros(k)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            over = norms2(mid) > 1.0
-            lo = np.where(over, mid, lo)
-            hi = np.where(over, hi, mid)
-        mu = np.where(need, hi, 0.0)
-
-    denom = vals[:, None] + mu[None, :]
-    scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
-    return vecs @ (bt * scale)
+    return vecs @ (bt / (vals[:, None] + mu)), mu
 
 
 def csit_amplitude(

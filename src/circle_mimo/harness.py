@@ -28,7 +28,7 @@ from .channel import (
     sample_channel,
 )
 from .dftcore import build_family, build_precoders, pairwise_diagonals
-from .estimation import make_codebook, narrowband_search, wideband_search
+from .estimation import complexity_psi, make_codebook, narrowband_search, wideband_search
 from .receiver import SINR_CAP, per_device_achieved_se, per_device_max_se
 from .transceiver import make_frame, receive, transmit
 
@@ -253,7 +253,7 @@ class _SweepContext:
             self.codebook.vectors(self.geometry, m)
             for m in range(1, cfg.n_subcarriers + 1)
         ]
-        self.psi = self.n * (2 * self.n + cfg.q_levels) * cfg.n_subcarriers
+        self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
 
     def _rng(self, *key: int) -> np.random.Generator:
         return np.random.default_rng(

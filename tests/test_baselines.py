@@ -1,13 +1,19 @@
 import math
+import signal
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle_mimo import (
     ArrayGeometry,
     ChannelProfile,
     NoiseModel,
     SingularChannelError,
+    baselines,
     csit_sum_se,
     mrt,
     per_device_csit_se,
@@ -15,7 +21,8 @@ from circle_mimo import (
     wmmse,
     zf,
 )
-from circle_mimo.baselines import csit_amplitude
+from circle_mimo.baselines import _solve_unit_ball, csit_amplitude
+from circle_mimo.harness import preset, run_experiment
 
 GEOM = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9)
 NOISE = NoiseModel(variance=0.1, tx_power=1.0)
@@ -151,6 +158,21 @@ class TestWmmse:
         assert totals["wmmse"] >= totals["zf"]
         assert totals["wmmse"] >= totals["mrt"]
 
+    def test_finite_at_high_snr(self):
+        # at 180 dB the interference-plus-noise power is far below the
+        # desired power, so 1 - |desired|^2/total cancels to zero
+        cfg = replace(
+            preset("fig5"), sweep_param=None, sweep_values=None, n_devices=30,
+            n_subcarriers=1, cp_len=0, bandwidth_hz=0.0, snr_db=180.0, n_trials=1,
+            methods=("wmmse",),
+        )
+        (row,) = run_experiment(cfg)
+        assert np.isfinite(row.per_device_se).all()
+        assert row.sum_se_bits_per_use > 0
+        pre = wmmse(draw_channels(30, 32, seed=18), NoiseModel(variance=1e-16, tx_power=1.0))
+        assert np.isfinite(pre.vectors).all()
+        assert np.isfinite(pre.wsr_history).all()
+
     def test_beats_zf_at_light_load(self):
         # large array, few devices: paired mean comparison over 200 draws
         geom = ArrayGeometry(n_antennas=32, carrier_freq_hz=100e9)
@@ -160,6 +182,126 @@ class TestWmmse:
             tw += csit_sum_se([wmmse(h, NOISE)], h[:, None, :], NOISE, geom)
             tz += csit_sum_se([zf(h)], h[:, None, :], NOISE, geom)
         assert tw >= tz
+
+
+def bisection_oracle(a, b):
+    """Reference unit-ball solve: water levels bisected for a fixed 100 steps.
+
+    The solver WMMSE used before the Newton iteration, kept to check it.
+    """
+    vals, vecs = np.linalg.eigh(a)
+    bt = vecs.conj().T @ b
+    cutoff = max(vals[-1], 0.0) * 1e-12
+    bt[vals <= cutoff] = 0.0
+    vals = np.maximum(vals, 0.0)
+    weights = np.abs(bt) ** 2
+
+    def norms2(mu):
+        denom = (vals[:, None] + mu[None, :]) ** 2
+        out = np.divide(weights, denom, out=np.zeros_like(weights), where=denom > 0)
+        return np.sum(out, axis=0)
+
+    k = bt.shape[1]
+    mu = np.zeros(k)
+    need = norms2(mu) > 1.0
+    if np.any(need):
+        hi = np.ones(k)
+        while True:  # open-ended doubling: finite inputs only
+            over = need & (norms2(hi) > 1.0)
+            if not np.any(over):
+                break
+            hi[over] *= 2.0
+        lo = np.zeros(k)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            over = norms2(mid) > 1.0
+            lo = np.where(over, mid, lo)
+            hi = np.where(over, hi, mid)
+        mu = np.where(need, hi, 0.0)
+
+    denom = vals[:, None] + mu[None, :]
+    scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
+    return vecs @ (bt * scale)
+
+
+def block_problem(seed):
+    """Random precoder block: PSD ``a`` of rank r <= n from r channel-like
+    vectors with spread gains, ``b`` in its range with column scales spread
+    so that some beams sit inside the ball and some far outside."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    r = int(rng.integers(1, n + 1))
+    k = int(rng.integers(1, 40))
+    g = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))) * 10.0 ** rng.uniform(
+        -2, 2, size=r
+    )
+    a = (g * 10.0 ** rng.uniform(-3, 3)) @ g.conj().T
+    coeffs = rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))
+    b = g @ coeffs * 10.0 ** rng.uniform(-4, 3, size=k)
+    return a, b, rng
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSolveUnitBall:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_bisection_oracle_and_kkt(self, seed):
+        a, b, rng = block_problem(seed)
+        w, mu = _solve_unit_ball(a, b)
+        want = bisection_oracle(a, b)
+        scale = np.maximum(np.linalg.norm(want, axis=0), 1e-300)
+        assert np.all(np.linalg.norm(w - want, axis=0) <= 1e-10 * scale)
+
+        norms = np.linalg.norm(w, axis=0)
+        assert np.all(norms <= 1 + 1e-12)
+        assert np.all(mu >= 0)
+        unconstrained = np.linalg.norm(np.linalg.lstsq(a, b, rcond=1e-12)[0], axis=0)
+        inside = unconstrained < 1 - 1e-6
+        assert np.all(mu[inside] == 0)
+        assert np.all(np.abs(norms[unconstrained > 1 + 1e-6] - 1) <= 1e-12)
+
+        # a warm start anywhere, in or out of the bracket, reaches the same levels
+        warm_w, warm_mu = _solve_unit_ball(a, b, mu * rng.uniform(0, 3, size=mu.shape))
+        assert np.all(np.linalg.norm(warm_w - want, axis=0) <= 1e-10 * scale)
+        assert np.all(warm_mu[inside] == 0)
+
+    def test_iteration_cap_leaves_beams_feasible(self, monkeypatch):
+        # a beam still open at the cap takes the feasible end of its bracket
+        monkeypatch.setattr(baselines, "_NEWTON_STEPS", 2)
+        a, b, _ = block_problem(7)
+        w, mu = _solve_unit_ball(a, b)
+        assert np.all(np.linalg.norm(w, axis=0) <= 1 + 1e-12)
+        assert np.all(mu >= 0)
+
+    def test_zero_matrix_gives_zero_beams(self):
+        w, mu = _solve_unit_ball(np.zeros((4, 4), dtype=complex), np.ones((4, 2), dtype=complex))
+        assert (w == 0).all()
+        assert (mu == 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column_terminates(self, bad):
+        a, b, _ = block_problem(3)
+        b[:, 0] = bad
+        want = bisection_oracle(a, b[:, 1:])
+        with time_limit(30), np.errstate(invalid="ignore"):
+            try:
+                w, _ = _solve_unit_ball(a, b)
+            except (ValueError, np.linalg.LinAlgError):
+                return
+        np.testing.assert_allclose(w[:, 1:], want, rtol=0, atol=1e-10 * np.abs(want).max())
 
 
 class TestCsitSumSe:
