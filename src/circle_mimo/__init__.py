@@ -47,6 +47,7 @@ from .estimation import (
     make_codebook,
     narrowband_search,
     score_candidate,
+    sweep_scores,
     wideband_search,
 )
 from .harness import (

@@ -265,7 +265,8 @@ def per_device_csit_se(
     ``channels`` has shape (K, M, N) and ``precoders`` one entry per
     subcarrier.  SINR of device k on subcarrier m is
     |a h_k^H f_k|^2 / (sum_{k2 != k} |a h_k^H f_k2|^2 + sigma^2) with the
-    common amplitude a from :func:`csit_amplitude`.
+    common amplitude a from :func:`csit_amplitude`.  The interference sums
+    the off-diagonal terms directly, so it does not cancel at high SNR.
     """
     channels = np.asarray(channels)
     k_dev, mm, n = channels.shape
@@ -275,11 +276,9 @@ def per_device_csit_se(
     out = np.zeros(k_dev)
     for m0 in range(mm):
         f = precoders[m0].vectors  # (K, N)
-        cross = np.abs(amp * (channels[:, m0, :].conj() @ f.T)) ** 2  # (K rx, K beams)
-        sig = np.diagonal(cross).copy()
-        interf = np.sum(cross, axis=1) - sig
-        sinr = sig / (interf + noise.variance)
-        out += np.log2(1.0 + sinr)
+        cross = amp * (channels[:, m0, :].conj() @ f.T)  # (K rx, K beams)
+        sig, rest = _desired_and_rest(cross, noise.variance)
+        out += np.log2(1.0 + sig / rest)
     return out / (mm + geometry.cp_len)
 
 

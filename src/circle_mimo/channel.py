@@ -164,12 +164,21 @@ def sample_channel(
     los_gain = _complex_normal(rng, profile.los_var, (mm,))
     nlos_gains = _complex_normal(rng, profile.nlos_var, (mm, ll))
 
-    h = np.empty((mm, geometry.n_antennas), dtype=complex)
-    for m0 in range(mm):
-        vec = los_gain[m0] * array_response(geometry, theta, m0 + 1)
-        for l0 in range(ll):
-            vec = vec + nlos_gains[m0, l0] * array_response(geometry, nlos_aods[l0], m0 + 1)
-        h[m0] = vec
+    # responses[m0, 0] is the LoS steering vector on subcarrier m0+1 and
+    # responses[m0, 1 + l0] that of NLoS path l0.  The phase products run in
+    # array_response's order and the paths are summed LoS first, so h is
+    # bit-identical to summing array_response over the paths.
+    ratios = np.array(
+        [geometry.subcarrier_freq_hz(m) for m in range(1, mm + 1)]
+    ) / geometry.carrier_freq_hz
+    p = np.arange(geometry.n_antennas)
+    sines = np.sin(np.concatenate([[theta], nlos_aods]))
+    responses = np.exp(
+        ((1j * np.pi * ratios)[:, None] * p)[:, None, :] * sines[None, :, None]
+    )
+    h = los_gain[:, None] * responses[:, 0]
+    for l0 in range(ll):
+        h = h + nlos_gains[:, l0, None] * responses[:, 1 + l0]
 
     return ChannelRealization(
         device=device,

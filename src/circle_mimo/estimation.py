@@ -26,6 +26,7 @@ __all__ = [
     "make_codebook",
     "estimate_gain",
     "score_candidate",
+    "sweep_scores",
     "narrowband_search",
     "wideband_search",
     "complexity_psi",
@@ -125,33 +126,45 @@ def score_candidate(
     return math.log2(1.0 + min(gamma, cap))
 
 
-def _sweep_scores(
-    block: ReceivedBlock,
+def sweep_scores(
+    ys: np.ndarray,
     family: PermutedDftFamily,
-    vectors: np.ndarray,
-    pilots: tuple[complex, complex],
+    vectors: list[np.ndarray],
+    pilots: np.ndarray,
     noise: NoiseModel,
-    cap: float,
+    cap: float = SINR_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized candidate sweep; returns (scores, alpha_conj), each (Q,)."""
-    n = family.n
-    pilot1, pilot2 = pilots
-    if pilot1 == 0 or pilot2 == 0:
+    """Codebook sweep of one device over all its subcarriers at once.
+
+    ``ys`` holds the device's received blocks, (M, N); ``vectors[m0]`` the
+    (N, Q) candidate steering vectors of subcarrier m0+1; ``pilots`` the
+    (M, 2) pilot pairs.  Every block is combined with members N-1 and N in
+    one product, then every candidate on every subcarrier is scored in one
+    elementwise pass with the formula of :func:`estimate_gain` and
+    :func:`score_candidate`.  Returns ``(scores, alpha_conj)``, each (M, Q).
+    """
+    ys = np.asarray(ys)
+    pilots = np.asarray(pilots, dtype=complex)
+    mm, n = ys.shape
+    if np.any(pilots == 0):
         raise ValueError("pilot symbols must be nonzero")
     scale = math.sqrt(noise.tx_power * n)
 
-    c1 = family.member(n - 1).conj() @ block.y
-    c2 = family.member(n).conj() @ block.y
-    d1 = vectors.T @ c1
-    d2 = vectors.T @ c2
+    # combined[m0, j] = member(N-1+j)^* @ ys[m0] and d[m0, j] = vectors[m0]^T
+    # @ combined[m0, j], each a batch of matrix-vector products
+    combiners = family.members[n - 2 :].conj().reshape(2 * n, n)
+    combined = np.matmul(combiners, ys[:, :, None]).reshape(mm, 2, n, 1)
+    d = np.empty((mm, 2, vectors[0].shape[1]), dtype=complex)
+    for m0 in range(mm):
+        np.matmul(vectors[m0].T, combined[m0], out=d[m0, :, :, None])
 
-    alpha_conj = d1 / (scale * pilot1)
-    p_hat = scale * pilot2
+    alpha_conj = d[:, 0] / (scale * pilots[:, :1])
+    p_hat = scale * pilots[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = d2 / alpha_conj - p_hat
+        resid = d[:, 1] / alpha_conj - p_hat
         gamma = np.abs(p_hat) ** 2 / np.abs(resid) ** 2
     # zero gain estimate -> unusable candidate; zero residual -> capped sentinel
-    gamma = np.where(alpha_conj == 0, 0.0, gamma)
+    gamma[alpha_conj == 0] = 0.0
     gamma = np.nan_to_num(gamma, nan=0.0, posinf=cap)
     scores = np.log2(1.0 + np.minimum(gamma, cap))
     return scores, alpha_conj
@@ -166,16 +179,23 @@ def narrowband_search(
     noise: NoiseModel,
     cap: float = SINR_CAP,
     vectors: np.ndarray | None = None,
+    sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
     """Single-subcarrier codebook sweep.
 
     Visits every grid index, keeps the best score, and breaks exact ties
     toward the lowest index.  ``vectors`` can carry precomputed candidate
-    steering vectors for the block's subcarrier.
+    steering vectors for the block's subcarrier, and ``sweep`` the block's
+    precomputed ``(scores, alpha_conj)`` rows of :func:`sweep_scores`.
     """
     if vectors is None:
         vectors = codebook.vectors(geometry, block.subcarrier)
-    scores, alpha_conj = _sweep_scores(block, family, vectors, pilots, noise, cap)
+    if sweep is None:
+        scores, alpha_conj = sweep_scores(
+            block.y[None, :], family, [vectors], [pilots], noise, cap
+        )
+        sweep = scores[0], alpha_conj[0]
+    scores, alpha_conj = sweep
     q0 = int(np.argmax(scores))  # first maximum: lowest-index tie break
     alpha = np.conj(alpha_conj[q0])
     h_hat = alpha * vectors[:, q0]
@@ -198,6 +218,7 @@ def wideband_search(
     noise: NoiseModel,
     cap: float = SINR_CAP,
     vectors: list[np.ndarray] | None = None,
+    sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
     """Joint sweep across subcarriers sharing one departure angle.
 
@@ -205,7 +226,8 @@ def wideband_search(
     1/(M + L_cp) cyclic-prefix weight and the argmax of that mean picks a
     single angle; per-subcarrier gains are read off at the winner.  With a
     single subcarrier and no cyclic prefix this reduces exactly to
-    :func:`narrowband_search`.
+    :func:`narrowband_search`.  ``sweep`` can carry the blocks' precomputed
+    ``(scores, alpha_conj)`` of :func:`sweep_scores`, each (M, Q).
     """
     mm = len(blocks)
     if mm == 0:
@@ -216,19 +238,14 @@ def wideband_search(
         raise ValueError("one pilot pair per subcarrier required")
     if vectors is None:
         vectors = [codebook.vectors(geometry, b.subcarrier) for b in blocks]
-
-    total = np.zeros(codebook.q_levels)
-    alpha_rows = []
-    for m0 in range(mm):
-        scores, alpha_conj = _sweep_scores(
-            blocks[m0], family, vectors[m0], pilots[m0], noise, cap
-        )
-        total += scores
-        alpha_rows.append(alpha_conj)
-    mean_scores = total / (mm + geometry.cp_len)
+    if sweep is None:
+        ys = np.stack([b.y for b in blocks])
+        sweep = sweep_scores(ys, family, vectors, pilots, noise, cap)
+    scores, alpha_conj = sweep
+    mean_scores = scores.sum(axis=0) / (mm + geometry.cp_len)
 
     q0 = int(np.argmax(mean_scores))
-    alpha = np.conj(np.array([row[q0] for row in alpha_rows]))
+    alpha = np.conj(alpha_conj[:, q0])
     h_hat = alpha[:, None] * np.stack([v[:, q0] for v in vectors])
     return EstimationResult(
         device=blocks[0].device,

@@ -7,6 +7,12 @@ are byte-identical for a fixed seed regardless of how many worker threads
 consume the trials.  Wall-clock timings are measured per method but written
 to the CSV as 0 unless explicitly requested, keeping the default output
 deterministic.
+
+Under estimated CSIR, ``circle`` and ``r-circle`` read one shared codebook
+sweep per device, and both pick their angles from it before the method
+loop.  A method's ``wall_time_s`` therefore excludes the sweep and the
+angle picks, as it excludes the transmit/receive synthesis: it covers the
+method's spectral-efficiency evaluation.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from .channel import (
     sample_channel,
 )
 from .dftcore import build_family, build_precoders, pairwise_diagonals
-from .estimation import complexity_psi, make_codebook, narrowband_search, wideband_search
+from .estimation import (
+    complexity_psi,
+    make_codebook,
+    narrowband_search,
+    sweep_scores,
+    wideband_search,
+)
 from .receiver import SINR_CAP, per_device_achieved_se, per_device_max_se
 from .transceiver import make_frame, receive, transmit
 
@@ -87,7 +99,32 @@ class ExperimentConfig:
     sweep_values: tuple | None = None
 
     def validate(self) -> None:
-        for name in ("sigma2_db", "delta2_db"):
+        """Check the config at every sweep point before any trial runs.
+
+        Each point is the config with the swept field replaced by one sweep
+        value, and must pass every check a config without a sweep passes.
+        """
+        if self.sweep_param is None:
+            self._validate_point()
+            return
+        if self.sweep_param not in _SWEEPABLE:
+            raise ValueError(f"cannot sweep field {self.sweep_param!r}")
+        if not self.sweep_values:
+            raise ValueError("sweep_values must be nonempty when sweeping")
+        for value in self.sweep_values:
+            try:
+                replace(self, **{self.sweep_param: value})._validate_point()
+            except ValueError as exc:
+                raise ValueError(f"sweep point {self.sweep_param}={value!r}: {exc}") from None
+
+    def _validate_point(self) -> None:
+        for name in sorted(_INT_FIELDS):
+            value = getattr(self, name)
+            if name == "n_antennas" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("sigma2_db", "delta2_db", "carrier_freq_hz", "bandwidth_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if (self.snr_db is None) == (self.p_t_db is None):
@@ -108,6 +145,18 @@ class ExperimentConfig:
             raise ValueError("rho must lie in (0, 2]")
         if self.q_levels < 1:
             raise ValueError("q_levels must be at least 1")
+        if self.n_subcarriers < 1:
+            raise ValueError("n_subcarriers must be at least 1")
+        if self.cp_len < 0:
+            raise ValueError("cp_len must be nonnegative")
+        if self.carrier_freq_hz <= 0:
+            raise ValueError("carrier_freq_hz must be positive")
+        if self.bandwidth_hz < 0:
+            raise ValueError("bandwidth_hz must be nonnegative")
+        # lowest subcarrier, f_c - B*(M - 1)/(2M), as ArrayGeometry places it
+        m = self.n_subcarriers
+        if self.carrier_freq_hz + self.bandwidth_hz * (1 - m) / (2 * m) <= 0:
+            raise ValueError("the lowest subcarrier frequency must be positive")
         if self.symbol_source not in ("gaussian", "qpsk"):
             raise ValueError(f"unknown symbol_source {self.symbol_source!r}")
         if self.csit_normalization not in ("amplitude", "power"):
@@ -126,26 +175,20 @@ class ExperimentConfig:
                 )
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}")
-        if self.sweep_param is not None:
-            if self.sweep_param not in _SWEEPABLE:
-                raise ValueError(f"cannot sweep field {self.sweep_param!r}")
-            if not self.sweep_values:
-                raise ValueError("sweep_values must be nonempty when sweeping")
-        circle_like = {"circle", "r-circle"} & set(self.methods)
-        for k in self._swept_device_counts():
-            n = self.n_antennas if self.n_antennas is not None else k + 2
-            if circle_like and k > n - 2:
-                raise ValueError(
-                    f"n_devices={k} exceeds n_antennas-2={n - 2} for the "
-                    "deterministic-precoder methods"
-                )
-            if k > n:
-                raise ValueError(f"n_devices={k} exceeds n_antennas={n}")
-
-    def _swept_device_counts(self) -> list[int]:
-        if self.sweep_param == "n_devices":
-            return [int(v) for v in self.sweep_values]
-        return [self.n_devices]
+        k = self.n_devices
+        n = self.n_antennas if self.n_antennas is not None else k + 2
+        if n < 3:
+            raise ValueError(
+                f"n_antennas={n} leaves no symbol slot: a frame carries two "
+                "pilots and at least one symbol"
+            )
+        if {"circle", "r-circle"} & set(self.methods) and k > n - 2:
+            raise ValueError(
+                f"n_devices={k} exceeds n_antennas-2={n - 2} for the "
+                "deterministic-precoder methods"
+            )
+        if k > n:
+            raise ValueError(f"n_devices={k} exceeds n_antennas={n}")
 
 
 _SWEEPABLE = ("n_devices", "snr_db", "delta2_db", "p_t_db", "q_levels", "rho")
@@ -274,11 +317,8 @@ class _SweepContext:
         rng_trial = self._rng(trial)
         frames = [make_frame(self.n, cfg.symbol_source, rng_trial) for _ in range(mm)]
 
-        needs_blocks = cfg.csir == "estimated" and (
-            "circle" in cfg.methods or "r-circle" in cfg.methods
-        )
-        blocks = None
-        if needs_blocks:
+        estimates = {}
+        if cfg.csir == "estimated" and {"circle", "r-circle"} & set(cfg.methods):
             xs = [transmit(self.precoders, frames[m0]) for m0 in range(mm)]
             blocks = [
                 [
@@ -287,11 +327,12 @@ class _SweepContext:
                 ]
                 for k0 in range(k_dev)
             ]
+            estimates = self._estimate(blocks, frames)
 
         results = []
         for method in cfg.methods:
             t0 = time.perf_counter()
-            per_dev, q_star, psi = self._run_method(method, h_true, frames, blocks)
+            per_dev, q_star, psi = self._run_method(method, h_true, estimates.get(method))
             wall = time.perf_counter() - t0
             results.append(
                 TrialResult(
@@ -308,7 +349,7 @@ class _SweepContext:
             )
         return results
 
-    def _run_method(self, method, h_true, frames, blocks):
+    def _run_method(self, method, h_true, estimate):
         cfg = self.config
         if method == "bound":
             per_dev = per_device_max_se(h_true, self.noise, self.geometry)
@@ -321,7 +362,7 @@ class _SweepContext:
                     self.diagonals, cfg.sinr_cap,
                 )
                 return per_dev, (), 0
-            h_hat, q_star = self._estimate(method, blocks, frames)
+            h_hat, q_star = estimate
             per_dev = per_device_achieved_se(
                 h_hat, h_true, self.family, self.noise, self.geometry,
                 self.diagonals, cfg.sinr_cap,
@@ -348,29 +389,42 @@ class _SweepContext:
         )
         return per_dev, (), 0
 
-    def _estimate(self, method, blocks, frames):
+    def _estimate(self, blocks, frames):
+        """Channel estimates of the estimated-CSIR methods among the config's.
+
+        One codebook sweep per device serves both: ``circle`` picks an angle
+        per subcarrier from it, ``r-circle`` one angle from its
+        subcarrier mean.  Returns {method: (h_hat (K, M, N), q_star)}.
+        """
         cfg = self.config
         mm = cfg.n_subcarriers
-        pilots = [(frames[m0].pilot1, frames[m0].pilot2) for m0 in range(mm)]
-        h_hat = np.empty((self.k_devices, mm, self.n), dtype=complex)
-        q_star: list[int] = []
+        pilots = np.array([(f.pilot1, f.pilot2) for f in frames])
+        methods = [m for m in ("circle", "r-circle") if m in cfg.methods]
+        h_hat = {m: np.empty((self.k_devices, mm, self.n), dtype=complex) for m in methods}
+        q_star: dict[str, list[int]] = {m: [] for m in methods}
         for k0 in range(self.k_devices):
-            if method == "r-circle":
-                res = wideband_search(
-                    blocks[k0], self.family, self.codebook, self.geometry,
-                    pilots, self.noise, cfg.sinr_cap, self.vectors,
-                )
-                h_hat[k0] = res.h_hat
-                q_star.append(res.q_star)
-            else:
+            ys = np.stack([b.y for b in blocks[k0]])
+            scores, alpha_conj = sweep_scores(
+                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap
+            )
+            if "circle" in methods:
                 for m0 in range(mm):
                     res = narrowband_search(
                         blocks[k0][m0], self.family, self.codebook, self.geometry,
                         pilots[m0], self.noise, cfg.sinr_cap, self.vectors[m0],
+                        sweep=(scores[m0], alpha_conj[m0]),
                     )
-                    h_hat[k0, m0] = res.h_hat[0]
-                    q_star.append(res.q_star)
-        return h_hat, tuple(q_star)
+                    h_hat["circle"][k0, m0] = res.h_hat[0]
+                    q_star["circle"].append(res.q_star)
+            if "r-circle" in methods:
+                res = wideband_search(
+                    blocks[k0], self.family, self.codebook, self.geometry,
+                    pilots, self.noise, cfg.sinr_cap, self.vectors,
+                    sweep=(scores, alpha_conj),
+                )
+                h_hat["r-circle"][k0] = res.h_hat
+                q_star["r-circle"].append(res.q_star)
+        return {m: (h_hat[m], tuple(q_star[m])) for m in methods}
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> Iterator[TrialResult]:

@@ -339,25 +339,35 @@ def per_device_achieved_se(
 
     Both channel arrays have shape (K, M, N); device k (row k-1) combines
     with family member k.  Per-subcarrier rates carry the 1/(M + L_cp)
-    penalty; for M = 1 with no cyclic prefix the penalty is 1.
+    penalty; for M = 1 with no cyclic prefix the penalty is 1.  Evaluates
+    :func:`achieved_sinr` for every (device, subcarrier) in one batched
+    pass; any (near-)zero entry of ``h_hat`` raises DegenerateChannelError.
     """
     h_hat = np.asarray(h_hat)
     h_true = np.asarray(h_true)
     if h_hat.shape != h_true.shape or h_hat.ndim != 3:
         raise ValueError("channel arrays must share shape (K, M, N)")
-    k_dev, mm, _ = h_hat.shape
+    k_dev, mm, n = h_hat.shape
     if diagonals is None:
         diagonals = pairwise_diagonals(family)
-    out = np.empty(k_dev)
-    for k0 in range(k_dev):
-        acc = 0.0
-        for m0 in range(mm):
-            rep = achieved_sinr(
-                h_hat[k0, m0], h_true[k0, m0], family, k0 + 1, noise, diagonals, cap
-            )
-            acc += rep.se_bits
-        out[k0] = acc / (mm + geometry.cp_len)
-    return out
+    h_tilde = inverse_channel(h_hat)
+
+    w = h_tilde * h_true.conj()
+    # cross[k0, j, m0] = (conj(diagonals[k0]) @ w[k0, m0])[j], the gain of
+    # slot j+1 at device k0+1; the conjugation moves onto w
+    cross = np.matmul(diagonals[:k_dev], w.conj().transpose(0, 2, 1)).conj()
+    scale = noise.tx_power / n
+    devices = np.arange(k_dev)
+    powers = np.abs(cross) ** 2
+    signal = scale * powers[devices, devices]  # (K, M)
+    powers[devices, devices] = 0.0
+    denom = scale * np.sum(powers, axis=1) + noise.variance * np.sum(
+        np.abs(h_tilde) ** 2, axis=2
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(denom == 0.0, np.where(signal > 0, np.inf, 0.0), signal / denom)
+    se = np.log2(1.0 + np.minimum(sinr, cap))
+    return np.sum(se, axis=1) / (mm + geometry.cp_len)
 
 
 def sum_se_achieved(

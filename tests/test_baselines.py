@@ -21,8 +21,8 @@ from circle_mimo import (
     wmmse,
     zf,
 )
-from circle_mimo.baselines import _solve_unit_ball, csit_amplitude
-from circle_mimo.harness import preset, run_experiment
+from circle_mimo.baselines import _desired_and_rest, _solve_unit_ball, csit_amplitude
+from circle_mimo.harness import _SweepContext, preset, run_experiment
 
 GEOM = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9)
 NOISE = NoiseModel(variance=0.1, tx_power=1.0)
@@ -353,3 +353,29 @@ class TestCsitSumSe:
                 )
                 manual += math.log2(1 + sig / (interf + 0.1))
         assert total == pytest.approx(manual / (2 + 3), rel=1e-12)
+
+    def test_interference_sums_the_off_diagonal_terms_at_high_snr(self):
+        # a fig5 K = 30 draw at 180 dB: the interference (1e-13 to 1e-9) is
+        # some 1e-28 of the desired power, so sum(cross) - desired cancels to 0
+        cfg = replace(
+            preset("fig5"), sweep_param=None, sweep_values=None, n_devices=30,
+            n_subcarriers=1, cp_len=0, bandwidth_hz=0.0, snr_db=180.0,
+        )
+        ctx = _SweepContext(cfg, None)
+        h = np.stack([
+            sample_channel(ctx.geometry, k, ctx._rng(0, k), ctx.profile).h for k in range(1, 31)
+        ])
+        amp = csit_amplitude(32, 30, ctx.noise)
+        for pre in (zf(h[:, 0]), wmmse(h[:, 0], ctx.noise)):
+            cross = amp * (h[:, 0].conj() @ pre.vectors.T)
+            power = np.abs(cross) ** 2
+            sig = np.diagonal(power)
+            explicit = np.array([
+                math.fsum(power[k, j] for j in range(30) if j != k) for k in range(30)
+            ])
+            assert explicit.min() > 0
+            _, interference = _desired_and_rest(cross, 0.0)
+            np.testing.assert_allclose(interference, explicit, rtol=1e-12, atol=0)
+            want = np.log2(1.0 + sig / (explicit + ctx.noise.variance))
+            got = per_device_csit_se([pre], h, ctx.noise, ctx.geometry)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)

@@ -1,0 +1,240 @@
+"""The batched trial kernels against the scalar formulas they replace.
+
+The codebook sweep, the achieved spectral efficiency and the channel
+synthesis each run as one array pass; the scalar functions
+(``estimate_gain``, ``score_candidate``, ``achieved_sinr``,
+``array_response``) stay as the reference each pass must reproduce.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circle_mimo import (
+    SINR_CAP,
+    ArrayGeometry,
+    ChannelProfile,
+    DegenerateChannelError,
+    NoiseModel,
+    PermutedDftFamily,
+    ReceivedBlock,
+    achieved_sinr,
+    array_response,
+    build_family,
+    build_precoders,
+    estimate_gain,
+    make_codebook,
+    make_frame,
+    narrowband_search,
+    pairwise_diagonals,
+    per_device_achieved_se,
+    preset,
+    receive,
+    run_experiment,
+    sample_channel,
+    score_candidate,
+    sweep_scores,
+    transmit,
+    wideband_search,
+    write_csv,
+)
+from conftest import los_channel
+
+N = 8
+FAM = build_family(N)
+PRE = build_precoders(FAM)
+DIAGS = pairwise_diagonals(FAM)
+CB = make_codebook(12, 0.0, math.pi / 2)
+REL = 1e-12
+
+
+def close(got, want, rel=REL):
+    return abs(got - want) <= rel * abs(want)
+
+
+def device_blocks(rng, mm, noise, pilots):
+    """One device's pure-LoS blocks on M subcarriers, angle on the grid of CB."""
+    geom = ArrayGeometry(
+        n_antennas=N, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=mm, cp_len=1
+    )
+    gains = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
+    channel = los_channel(geom, gains, CB.angles[rng.integers(CB.q_levels)])
+    blocks = []
+    for m0 in range(mm):
+        frame = make_frame(N, "gaussian", rng, tuple(pilots[m0]))
+        blocks.append(receive(channel, transmit(PRE, frame), noise, rng, m0 + 1))
+    return geom, blocks
+
+
+class TestSweepScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mm=st.integers(1, 4),
+        noisy=st.booleans(),
+        big_cap=st.booleans(),
+    )
+    def test_matches_the_scalar_gain_and_score(self, seed, mm, noisy, big_cap):
+        # noiseless on-grid candidates cancel to roundoff, so their SINR is
+        # either infinite or ~1e30: keep the cap below that to compare them
+        cap = SINR_CAP if noisy and big_cap else 1e6
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel(variance=0.05 if noisy else 0.0, tx_power=rng.uniform(0.5, 2.0))
+        pilots = np.exp(2j * np.pi * rng.uniform(size=(mm, 2))) * rng.uniform(0.5, 2, (mm, 2))
+        geom, blocks = device_blocks(rng, mm, noise, pilots)
+        vectors = [CB.vectors(geom, m0 + 1) for m0 in range(mm)]
+        vectors[0][:, 3] = 0.0  # a candidate whose gain estimate is exactly zero
+
+        ys = np.stack([b.y for b in blocks])
+        scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, cap)
+        assert scores.shape == alpha_conj.shape == (mm, CB.q_levels)
+        for m0 in range(mm):
+            for q0 in range(CB.q_levels):
+                cand = vectors[m0][:, q0]
+                alpha = estimate_gain(cand, blocks[m0], FAM, pilots[m0, 0], noise)
+                score = score_candidate(cand, alpha, blocks[m0], FAM, pilots[m0, 1], noise, cap)
+                assert close(alpha_conj[m0, q0], np.conj(alpha))
+                assert close(scores[m0, q0], score)
+        assert alpha_conj[0, 3] == 0 and scores[0, 3] == 0.0
+
+    def test_zero_residual_scores_the_cap(self):
+        # members N-1 and N both the identity: the two pilot slots combine to
+        # the same real samples, so a real candidate leaves a zero residual
+        members = np.array(FAM.members)
+        members[N - 2] = members[N - 1] = np.eye(N)
+        fam = PermutedDftFamily(n=N, members=members)
+        noise = NoiseModel(variance=0.0, tx_power=1.0 / N)  # sqrt(p_t N) = 1
+        rng = np.random.default_rng(4)
+        ys = rng.standard_normal((2, N)).astype(complex)
+        ys[1] = 0.0  # an all-zero block: every gain estimate is zero
+        vectors = [np.ones((N, 3), dtype=complex), np.ones((N, 3), dtype=complex)]
+        vectors[0][:, 1] = np.exp(1j * rng.uniform(0, 6, N))
+        pilots = np.ones((2, 2), dtype=complex)
+        scores, _ = sweep_scores(ys, fam, vectors, pilots, noise, 1e8)
+        assert scores[0, 0] == scores[0, 2] == math.log2(1.0 + 1e8)
+        assert np.all(scores[1] == 0.0)
+        block = ReceivedBlock(device=1, subcarrier=1, y=ys[0], noise_realization=np.zeros(N))
+        for q0 in range(3):
+            alpha = estimate_gain(vectors[0][:, q0], block, fam, 1.0, noise)
+            want = score_candidate(vectors[0][:, q0], alpha, block, fam, 1.0, noise, 1e8)
+            assert close(scores[0, q0], want)
+
+    def test_zero_pilot_rejected(self):
+        ys = np.ones((1, N), dtype=complex)
+        with pytest.raises(ValueError):
+            sweep_scores(ys, FAM, [CB.vectors(ArrayGeometry(N, 100e9))],
+                         np.array([[1.0, 0.0]]), NoiseModel(), SINR_CAP)
+
+
+def same_result(a, b):
+    return (
+        a.device == b.device and a.q_star == b.q_star and a.score == b.score
+        and np.array_equal(a.alpha_hat, b.alpha_hat) and np.array_equal(a.h_hat, b.h_hat)
+        and a.multiply_count == b.multiply_count
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_searches_equal_with_and_without_a_precomputed_sweep(seed):
+    rng = np.random.default_rng(seed)
+    mm = 3
+    noise = NoiseModel(variance=0.1, tx_power=1.0)
+    pilots = np.ones((mm, 2), dtype=complex)
+    geom, blocks = device_blocks(rng, mm, noise, pilots)
+    vectors = [CB.vectors(geom, m0 + 1) for m0 in range(mm)]
+    scores, alpha_conj = sweep_scores(
+        np.stack([b.y for b in blocks]), FAM, vectors, pilots, noise, SINR_CAP
+    )
+    pairs = [tuple(p) for p in pilots]
+    for m0 in range(mm):
+        plain = narrowband_search(blocks[m0], FAM, CB, geom, pairs[m0], noise)
+        swept = narrowband_search(blocks[m0], FAM, CB, geom, pairs[m0], noise,
+                                  sweep=(scores[m0], alpha_conj[m0]))
+        assert same_result(plain, swept)
+    plain = wideband_search(blocks, FAM, CB, geom, pairs, noise)
+    swept = wideband_search(blocks, FAM, CB, geom, pairs, noise, sweep=(scores, alpha_conj))
+    assert same_result(plain, swept)
+
+
+class TestAchievedSe:
+    def draw(self, seed, k=N - 2, mm=3):
+        rng = np.random.default_rng(seed)
+        geom = ArrayGeometry(
+            n_antennas=N, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=mm, cp_len=2
+        )
+        prof = ChannelProfile(nlos_var=0.05, n_nlos=3)
+        h_true = np.stack([sample_channel(geom, k0 + 1, rng, prof).h for k0 in range(k)])
+        h_hat = h_true + 0.3 * (rng.standard_normal(h_true.shape)
+                                + 1j * rng.standard_normal(h_true.shape))
+        return geom, h_true, h_hat
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_a_loop_of_achieved_sinr(self, seed):
+        geom, h_true, h_hat = self.draw(seed)
+        noise = NoiseModel(variance=0.1, tx_power=2.0)
+        for hh, cap in ((h_hat, SINR_CAP), (h_true, SINR_CAP), (h_hat, 3.0)):
+            got = per_device_achieved_se(hh, h_true, FAM, noise, geom, DIAGS, cap)
+            k_dev, mm, _ = h_true.shape
+            for k0 in range(k_dev):
+                want = sum(
+                    achieved_sinr(hh[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise, DIAGS, cap).se_bits
+                    for m0 in range(mm)
+                ) / (mm + geom.cp_len)
+                assert close(got[k0], want)
+
+    def test_noiseless_perfect_combining_is_capped(self):
+        geom, h_true, _ = self.draw(7)
+        noise = NoiseModel(variance=0.0, tx_power=1.0)
+        got = per_device_achieved_se(h_true, h_true, FAM, noise, geom, DIAGS, 1e6)
+        for k0 in range(h_true.shape[0]):
+            want = sum(
+                achieved_sinr(h_true[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise, DIAGS, 1e6).se_bits
+                for m0 in range(h_true.shape[1])
+            ) / (h_true.shape[1] + geom.cp_len)
+            assert close(got[k0], want)
+
+    def test_zero_entry_of_any_device_raises(self):
+        geom, h_true, h_hat = self.draw(3)
+        h_hat[-1, 1, 2] = 0.0
+        with pytest.raises(DegenerateChannelError):
+            per_device_achieved_se(h_hat, h_true, FAM, NoiseModel(), geom, DIAGS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mm=st.integers(1, 6),
+    n=st.integers(1, 24),
+    n_nlos=st.integers(0, 4),
+    bandwidth=st.sampled_from([0.0, 10e9, 37e9]),
+)
+def test_sample_channel_is_the_sum_of_array_responses(seed, mm, n, n_nlos, bandwidth):
+    geom = ArrayGeometry(
+        n_antennas=n, carrier_freq_hz=100e9, bandwidth_hz=bandwidth, n_subcarriers=mm
+    )
+    prof = ChannelProfile(nlos_var=0.05, n_nlos=n_nlos, angular_range=1.7 * math.pi)
+    ch = sample_channel(geom, 1, np.random.default_rng(seed), prof)
+    want = np.empty((mm, n), dtype=complex)
+    for m0 in range(mm):
+        vec = ch.los_gain[m0] * array_response(geom, ch.los_aod, m0 + 1)
+        for l0 in range(n_nlos):
+            vec = vec + ch.nlos_gains[m0, l0] * array_response(geom, ch.nlos_aods[l0], m0 + 1)
+        want[m0] = vec
+    assert np.array_equal(ch.h, want)
+
+
+def test_small_fig4d_run_reproduces_the_golden_csv(tmp_path):
+    # tests/data/fig4d_k6_seed11.csv was written by the per-block estimation
+    # path (one sweep per method and block) with this exact config
+    config = replace(
+        preset("fig4d"), sweep_param=None, sweep_values=None, n_devices=6, n_trials=3, seed=11
+    )
+    out = tmp_path / "fig4d.csv"
+    write_csv(run_experiment(config), out)
+    golden = Path(__file__).with_name("data") / "fig4d_k6_seed11.csv"
+    assert out.read_bytes() == golden.read_bytes()

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle_mimo import (
     ExperimentConfig,
@@ -16,6 +18,7 @@ from circle_mimo import (
     write_csv,
 )
 from circle_mimo.cli import main as cli_main
+from circle_mimo.harness import KNOWN_METHODS
 
 
 def quick_config(**overrides):
@@ -63,6 +66,88 @@ class TestConfigValidation:
             quick_config(sweep_param="nonsense", sweep_values=(1,)).validate()
         with pytest.raises(ValueError):
             quick_config(sweep_param="n_devices", sweep_values=()).validate()
+
+    def test_power_sweep_over_a_set_snr_rejected(self):
+        cfg = quick_config(sweep_param="p_t_db", sweep_values=(0.0, 5.0))
+        with pytest.raises(ValueError, match="exactly one of snr_db and p_t_db"):
+            cfg.validate()
+        quick_config(snr_db=None, sweep_param="p_t_db", sweep_values=(0.0, 5.0)).validate()
+
+    def test_every_sweep_point_checked_before_the_first_trial(self):
+        for param, values, message in (
+            ("q_levels", (8, 0), "q_levels must be at least 1"),
+            ("rho", (2, 3), "rho must lie in"),
+        ):
+            cfg = quick_config(sweep_param=param, sweep_values=values)
+            with pytest.raises(ValueError, match=message):
+                cfg.validate()
+            with pytest.raises(ValueError, match=message):
+                next(iter(run_experiment(cfg)))
+
+    def test_non_integer_device_count_rejected(self):
+        cfg = quick_config(sweep_param="n_devices", sweep_values=(4, 4.7))
+        with pytest.raises(ValueError, match="n_devices must be an integer"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="q_levels must be an integer"):
+            quick_config(q_levels=32.0).validate()
+
+    def test_frequency_plan_checked(self):
+        with pytest.raises(ValueError, match="n_subcarriers"):
+            quick_config(n_subcarriers=0).validate()
+        with pytest.raises(ValueError, match="cp_len"):
+            quick_config(cp_len=-1).validate()
+        with pytest.raises(ValueError, match="carrier_freq_hz"):
+            quick_config(carrier_freq_hz=0.0).validate()
+        with pytest.raises(ValueError, match="bandwidth_hz"):
+            quick_config(bandwidth_hz=float("nan")).validate()
+        # subcarrier 1 sits at f_c - B/4 for M = 2
+        with pytest.raises(ValueError, match="lowest subcarrier"):
+            quick_config(carrier_freq_hz=10e9, bandwidth_hz=40e9).validate()
+
+    def test_antenna_count_leaves_a_symbol_slot(self):
+        # a frame is two pilots plus at least one symbol, even for baselines
+        cfg = quick_config(n_devices=1, n_antennas=2, methods=("mrt",))
+        with pytest.raises(ValueError, match="n_antennas=2"):
+            cfg.validate()
+        quick_config(n_devices=1, n_antennas=3, methods=("mrt",)).validate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fields=st.fixed_dictionaries({
+            "n_devices": st.integers(1, 5),
+            "n_antennas": st.none() | st.integers(1, 8),
+            "n_nlos": st.integers(0, 3),
+            "rho": st.floats(0.01, 2.0),
+            "q_levels": st.integers(1, 16),
+            "n_subcarriers": st.integers(1, 3),
+            "cp_len": st.integers(0, 3),
+            "bandwidth_hz": st.sampled_from([0.0, 10e9, 250e9]),
+            "snr_db": st.floats(-30.0, 60.0),
+            "delta2_db": st.floats(-40.0, 0.0),
+            "csir": st.sampled_from(["genie", "estimated"]),
+            "symbol_source": st.sampled_from(["gaussian", "qpsk"]),
+            "methods": st.lists(
+                st.sampled_from(KNOWN_METHODS), min_size=1, max_size=6, unique=True
+            ).map(tuple),
+            "seed": st.integers(0, 2**32),
+        }),
+        sweep=st.none() | st.tuples(
+            st.just("n_devices"),
+            st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        ),
+    )
+    def test_every_accepted_config_completes_its_trials(self, fields, sweep):
+        cfg = ExperimentConfig(n_trials=1, **fields)
+        if sweep is not None:
+            cfg.sweep_param, cfg.sweep_values = sweep[0], tuple(sweep[1])
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        rows = list(run_experiment(cfg))
+        points = 1 if sweep is None else len(sweep[1])
+        assert len(rows) == points * len(cfg.methods)
+        assert all(np.isfinite(row.per_device_se).all() for row in rows)
 
     def test_validation_happens_before_trials(self):
         bad = quick_config(n_trials=0)
