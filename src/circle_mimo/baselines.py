@@ -17,6 +17,7 @@ import numpy as np
 from .channel import ArrayGeometry, NoiseModel
 
 __all__ = [
+    "WMMSE_MAX_ITERS",
     "SingularChannelError",
     "CsitPrecoder",
     "mrt",
@@ -26,6 +27,9 @@ __all__ = [
     "per_device_csit_se",
     "csit_sum_se",
 ]
+
+# outer-iteration cap of wmmse; a solve that reaches it reports converged=False
+WMMSE_MAX_ITERS = 100
 
 
 class SingularChannelError(ValueError):
@@ -74,7 +78,7 @@ def zf(channels: np.ndarray) -> CsitPrecoder:
 def wmmse(
     channels: np.ndarray,
     noise: NoiseModel,
-    max_iters: int = 100,
+    max_iters: int = WMMSE_MAX_ITERS,
     tol: float = 1e-4,
     amplitude: float | None = None,
 ) -> CsitPrecoder:

@@ -112,6 +112,8 @@ class ChannelRealization:
 
     def subcarrier(self, m: int) -> np.ndarray:
         """Channel vector of subcarrier m, 1-based."""
+        if not 1 <= m <= self.h.shape[0]:
+            raise ValueError(f"subcarrier {m} out of range 1..{self.h.shape[0]}")
         return self.h[m - 1]
 
 

@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 
+from .baselines import WMMSE_MAX_ITERS
 from .harness import (
     PRESET_NAMES,
     load_config_file,
@@ -63,6 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         write_csv(results, args.out, timing=args.timing)
         if not args.quiet:
             _print_summary(results)
+        _report_wmmse(results)
         print(f"wrote {len(results)} rows to {args.out}")
         return 0
     except (ValueError, NotImplementedError, OSError) as exc:
@@ -79,6 +81,17 @@ def _print_summary(results) -> None:
         print(
             f"{row['method']:<12} {sweep:>10} {row['n_trials']:>7} "
             f"{row['mean_sum_se']:>14.4f} {row['stderr_sum_se']:>10.4f}"
+        )
+
+
+def _report_wmmse(results) -> None:
+    """One stderr line counting the wmmse solves that ran out of iterations."""
+    converged = [c for res in results if res.method == "wmmse" for c in res.converged]
+    if converged:
+        print(
+            f"wmmse: {converged.count(False)} of {len(converged)} solves stopped at "
+            f"max_iters={WMMSE_MAX_ITERS}",
+            file=sys.stderr,
         )
 
 

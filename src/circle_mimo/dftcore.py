@@ -6,6 +6,14 @@ circulant index matrix.  The key structural property, exposed here through
 :func:`pairwise_product`, is that the product of two distinct family members
 is a diagonal matrix whose diagonal sums to zero.  That zero-trace diagonal
 is what lets a matched linear combiner cancel all inter-device interference.
+In closed form, with omega = exp(-2i*pi/N) and 0-based indices,
+
+    members[k0][:, j] = u[:, (j - k0) mod N]
+    diag(members[k0] @ members[l0]^H)[p] = omega^(p * (l0 - k0)),
+
+so every tensor here is a gather from the DFT matrix or from one table of
+N-th roots of unity, and the whole set-up costs O(N^3): one write per
+output entry.
 
 Index conventions: the construction is naturally 1-based (member k, slot n,
 device k), so the index matrix stores values in 1..N and ``entry(i, k)``
@@ -114,12 +122,20 @@ def build_dft(n: int) -> DftMatrix:
 
 
 def build_family(n: int) -> PermutedDftFamily:
-    """Construct all n column permutations of the unitary DFT matrix."""
-    index = build_circulant_index(n)
+    """Construct all n column permutations of the unitary DFT matrix.
+
+    Member k0 (0-based) is the DFT matrix with its columns rotated right by
+    k0, ``members[k0][:, j] = u[:, (j - k0) mod n]``, the order column k0 of
+    the circulant index matrix gives.  Each member is one contiguous slice
+    of the DFT matrix laid twice side by side, written straight into the
+    (k0, antenna, slot) layout: O(n^3) copies and no temporary beyond the
+    output.
+    """
     u = build_dft(n).u
-    # u[:, idx] has shape (n, n_rows, n_cols); member k0 fixes the column k0
-    # of the index matrix, so axes reorder to (k0, antenna, slot).
-    members = np.ascontiguousarray(np.transpose(u[:, index.zero_based], (2, 0, 1)))
+    uu = np.concatenate([u, u], axis=1)
+    members = np.empty((n, n, n), dtype=complex)
+    for k0 in range(n):
+        members[k0] = uu[:, n - k0:2 * n - k0]
     return PermutedDftFamily(n=n, members=members)
 
 
@@ -152,6 +168,16 @@ def pairwise_diagonals(family: PermutedDftFamily) -> np.ndarray:
     ``out[k0, k20, :]`` is the diagonal of member_{k0+1} @ member_{k20+1}^H.
     Off-diagonal entries of those products vanish, so this tensor carries
     the full interference structure used by the receiver metrics.
+
+    The diagonals are built in closed form, ``out[k0, k20, p] =
+    omega^(p * (k20 - k0))`` with ``omega = exp(-2i*pi/n)``: row d of an
+    n x n table holds ``omega^(p*d)``, read from one table of the n-th
+    roots of unity, and pair (k0, k20) takes row ``(k20 - k0) mod n``.
+    That is O(n^3) for the whole tensor, with ``out[k, k]`` exactly 1 and
+    every other row summing to zero.
     """
-    m = family.members
-    return np.einsum("kpj,lpj->klp", m, m.conj())
+    n = family.n
+    p = np.arange(n)
+    roots = np.exp(-2j * np.pi * p / n)
+    rows = roots[np.outer(p, p) % n]
+    return rows[(p[None, :] - p[:, None]) % n]

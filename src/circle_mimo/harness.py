@@ -207,6 +207,10 @@ class TrialResult:
     q_star: tuple[int, ...]
     psi: int
     wall_time_s: float
+    # per-subcarrier solver outcomes of an iterative method (wmmse), empty
+    # for the others; reported by the CLI, never written to the CSV
+    iterations: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -332,7 +336,7 @@ class _SweepContext:
         results = []
         for method in cfg.methods:
             t0 = time.perf_counter()
-            per_dev, q_star, psi = self._run_method(method, h_true, estimates.get(method))
+            per_dev, q_star, psi, solves = self._run_method(method, h_true, estimates.get(method))
             wall = time.perf_counter() - t0
             results.append(
                 TrialResult(
@@ -345,15 +349,18 @@ class _SweepContext:
                     q_star=q_star,
                     psi=psi,
                     wall_time_s=wall,
+                    iterations=tuple(p.iterations for p in solves),
+                    converged=tuple(p.converged for p in solves),
                 )
             )
         return results
 
     def _run_method(self, method, h_true, estimate):
+        """Per-device SE, ``q_star``, ``psi`` and, for wmmse, its precoders."""
         cfg = self.config
         if method == "bound":
             per_dev = per_device_max_se(h_true, self.noise, self.geometry)
-            return per_dev, (), 0
+            return per_dev, (), 0, ()
 
         if method in ("circle", "r-circle"):
             if cfg.csir == "genie":
@@ -361,13 +368,13 @@ class _SweepContext:
                     h_true, h_true, self.family, self.noise, self.geometry,
                     self.diagonals, cfg.sinr_cap,
                 )
-                return per_dev, (), 0
+                return per_dev, (), 0, ()
             h_hat, q_star = estimate
             per_dev = per_device_achieved_se(
                 h_hat, h_true, self.family, self.noise, self.geometry,
                 self.diagonals, cfg.sinr_cap,
             )
-            return per_dev, q_star, self.psi
+            return per_dev, q_star, self.psi, ()
 
         # full-CSIT benchmarks, one precoder per subcarrier
         precoders = []
@@ -387,7 +394,7 @@ class _SweepContext:
         per_dev = baselines.per_device_csit_se(
             precoders, h_true, self.noise, self.geometry, cfg.csit_normalization
         )
-        return per_dev, (), 0
+        return per_dev, (), 0, precoders if method == "wmmse" else ()
 
     def _estimate(self, blocks, frames):
         """Channel estimates of the estimated-CSIR methods among the config's.

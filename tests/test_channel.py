@@ -105,6 +105,16 @@ class TestSampleChannel:
                 vec += ch.nlos_gains[m0, l0] * array_response(geom, ch.nlos_aods[l0], m0 + 1)
             np.testing.assert_allclose(ch.h[m0], vec, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [0, -1, 4])
+    def test_subcarrier_out_of_range_rejected(self, m):
+        geom = ArrayGeometry(
+            n_antennas=8, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=3
+        )
+        ch = sample_channel(geom, 1, np.random.default_rng(3), ChannelProfile())
+        with pytest.raises(ValueError, match="out of range"):
+            ch.subcarrier(m)
+        np.testing.assert_array_equal(ch.subcarrier(3), ch.h[2])
+
     def test_angles_within_domain(self):
         prof = ChannelProfile(nlos_var=0.2, n_nlos=4, angular_range=math.pi / 8)
         rng = np.random.default_rng(5)

@@ -201,3 +201,46 @@ def test_family_structure_property(n, data):
         off = p - np.diag(np.diag(p))
         assert np.max(np.abs(off)) < 1e-10
         assert abs(np.trace(p)) < 1e-10 * n
+
+
+def einsum_diagonals_oracle(members):
+    """O(n^4) sum over slots of member_k[p, j] * conj(member_l[p, j])."""
+    return np.einsum("kpj,lpj->klp", members, members.conj())
+
+
+def gathered_family_oracle(n):
+    """Members by one fancy-index gather through the circulant index, then a transpose."""
+    u = build_dft(n).u
+    index = build_circulant_index(n).zero_based
+    return np.ascontiguousarray(np.transpose(u[:, index], (2, 0, 1)))
+
+
+class TestClosedForms:
+    SIZES = (1, 2, 3, 5, 16, 33, 64)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_members_equal_the_gathered_construction(self, n):
+        members = build_family(n).members
+        assert np.array_equal(members, gathered_family_oracle(n))
+        assert members.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_diagonals_match_the_einsum(self, n):
+        fam = build_family(n)
+        diags = pairwise_diagonals(fam)
+        assert diags.shape == (n, n, n) and diags.dtype == complex
+        assert diags.flags.c_contiguous
+        np.testing.assert_allclose(diags, einsum_diagonals_oracle(fam.members), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_own_diagonal_is_exactly_one(self, n):
+        diags = pairwise_diagonals(build_family(n))
+        k = np.arange(n)
+        assert np.all(diags[k, k] == 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cross_diagonals_sum_to_zero(self, n):
+        diags = pairwise_diagonals(build_family(n))
+        sums = np.abs(diags.sum(axis=2))
+        off = ~np.eye(n, dtype=bool)
+        assert np.all(sums[off] <= 1e-12)

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from circle_mimo import (
     summarize,
     write_csv,
 )
+from circle_mimo.baselines import WMMSE_MAX_ITERS
 from circle_mimo.cli import main as cli_main
 from circle_mimo.harness import KNOWN_METHODS
 
@@ -419,3 +421,34 @@ class TestCli:
         cfgfile.write_text("methods = wo-csit-feedback\n")
         rc = cli_main(["run", "--config", str(cfgfile), "--quiet"])
         assert rc != 0
+
+    def test_wmmse_report_counts_solves_and_leaves_the_csv_alone(self, tmp_path, capsys):
+        # fig5 at K = 30: most solves run out of outer iterations
+        cfgfile = tmp_path / "fig5.cfg"
+        cfgfile.write_text(
+            "n_devices = 30\nn_subcarriers = 2\nn_trials = 2\nseed = 5\n"
+            "methods = bound, wmmse, mrt\n"
+        )
+        out = tmp_path / "fig5.csv"
+        assert cli_main(["run", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 0
+        err = capsys.readouterr().err
+
+        results = list(run_experiment(load_config_file(cfgfile)))
+        iterations = [i for r in results if r.method == "wmmse" for i in r.iterations]
+        converged = [c for r in results if r.method == "wmmse" for c in r.converged]
+        assert len(iterations) == len(converged) == 2 * 2
+        assert converged == [i < WMMSE_MAX_ITERS for i in iterations]
+        assert all(r.iterations == () for r in results if r.method != "wmmse")
+        stopped = converged.count(False)
+        assert stopped > 0
+        assert f"wmmse: {stopped} of 4 solves stopped at max_iters={WMMSE_MAX_ITERS}" in err
+
+        # the solver outcomes never reach the CSV
+        bare = tmp_path / "bare.csv"
+        write_csv([replace(r, iterations=(), converged=()) for r in results], bare)
+        assert out.read_bytes() == bare.read_bytes()
+
+    def test_no_wmmse_report_without_wmmse(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--preset", "fig2", "--trials", "1", "--out", str(out), "--quiet"]) == 0
+        assert "wmmse" not in capsys.readouterr().err

@@ -151,6 +151,14 @@ class TestReceive:
         np.testing.assert_allclose(block.y - block.noise_realization, clean, atol=1e-12)
 
 
+    @pytest.mark.parametrize("m", [0, -1, 2])
+    def test_subcarrier_out_of_range_rejected(self, m):
+        ch = los_channel(self.GEOM, 1.0, 0.4)
+        pre = build_precoders(build_family(8))
+        xs = transmit(pre, make_frame(8, "qpsk", np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="out of range"):
+            receive(ch, xs, NoiseModel(variance=0.1, tx_power=1.0), np.random.default_rng(0), m)
+
 def test_detect_qpsk_exact_roundtrip():
     rng = np.random.default_rng(6)
     s = QPSK_POINTS[rng.integers(0, 4, size=100)]
