@@ -141,7 +141,7 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.n_nlos < 0:
             raise ValueError("n_nlos must be nonnegative")
-        if self.rho <= 0 or self.rho > 2:
+        if not 0 < self.rho <= 2:  # written so that nan fails too
             raise ValueError("rho must lie in (0, 2]")
         if self.q_levels < 1:
             raise ValueError("q_levels must be at least 1")
@@ -163,7 +163,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown csit_normalization {self.csit_normalization!r}")
         if self.csir not in ("genie", "estimated"):
             raise ValueError(f"unknown csir mode {self.csir!r}")
-        if self.sinr_cap <= 0:
+        if not self.sinr_cap > 0:
             raise ValueError("sinr_cap must be positive")
         for method in self.methods:
             if method in UNAVAILABLE_METHODS:
@@ -296,10 +296,7 @@ class _SweepContext:
         self.precoders = build_precoders(self.family)
         self.diagonals = pairwise_diagonals(self.family)
         self.codebook = make_codebook(cfg.q_levels, 0.0, cfg.rho * math.pi)
-        self.vectors = [
-            self.codebook.vectors(self.geometry, m)
-            for m in range(1, cfg.n_subcarriers + 1)
-        ]
+        self.vectors = self.codebook.tables(self.geometry)  # (M, N, Q)
         self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
 
     def _rng(self, *key: int) -> np.random.Generator:

@@ -124,6 +124,16 @@ class TestSweepScores:
             want = score_candidate(vectors[0][:, q0], alpha, block, fam, 1.0, noise, 1e8)
             assert close(scores[0, q0], want)
 
+    def test_a_nan_block_scores_zero(self):
+        rng = np.random.default_rng(5)
+        geom, blocks = device_blocks(rng, 2, NoiseModel(variance=0.1), np.ones((2, 2)))
+        ys = np.stack([b.y for b in blocks])
+        ys[1, 3] = np.nan
+        vectors = [CB.vectors(geom, m0 + 1) for m0 in range(2)]
+        scores, _ = sweep_scores(ys, FAM, vectors, np.ones((2, 2)), NoiseModel(), SINR_CAP)
+        assert np.all(scores[1] == 0.0)
+        assert np.all(np.isfinite(scores[0])) and np.any(scores[0] > 0)
+
     def test_zero_pilot_rejected(self):
         ys = np.ones((1, N), dtype=complex)
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from circle_mimo import (
     narrowband_search,
     receive,
     score_candidate,
+    sweep_scores,
     transmit,
     wideband_search,
 )
@@ -61,6 +62,113 @@ class TestCodebook:
             make_codebook(0)
         with pytest.raises(ValueError):
             make_codebook(4, 0.0, 0.0)
+
+
+# subcarrier-to-carrier frequency ratios 0.955, 1 and 1.045
+def table_geometry(n):
+    return ArrayGeometry(
+        n_antennas=n, carrier_freq_hz=100e9, bandwidth_hz=13.5e9, n_subcarriers=3
+    )
+
+
+def slope(geom, m):
+    """The phase slope pi * f_m / f_c as the tables round it."""
+    return np.pi * (geom.subcarrier_freq_hz(m) / geom.carrier_freq_hz)
+
+
+def table_error(table, sl, sines):
+    """Largest distance of an (N, Q) table from exp(i*sl*p*sin) in long double."""
+    arg = (np.longdouble(sl) * np.arange(table.shape[0], dtype=np.longdouble)[:, None]
+           * sines.astype(np.longdouble))
+    return float(np.max(np.hypot(table.real - np.cos(arg), table.imag - np.sin(arg))))
+
+
+class TestCodebookTables:
+    CB = make_codebook(512, 0.0, 2 * math.pi)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 130, 514])
+    def test_as_close_to_an_extended_precision_reference_as_exp(self, n):
+        geom = table_geometry(n)
+        tables = self.CB.tables(geom)
+        assert tables.shape == (3, n, 512) and tables.dtype == complex
+        sines = np.sin(self.CB.angles)
+        for m0 in range(3):
+            sl = slope(geom, m0 + 1)
+            direct = np.exp(1j * sl * np.outer(np.arange(n), sines))  # one exp per entry
+            err = table_error(tables[m0], sl, sines)
+            assert err <= max(table_error(direct, sl, sines), 1e-15)
+            assert err <= 2e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_rows_zero_and_one_are_one_and_the_phasor(self, n):
+        geom = table_geometry(n)
+        tables = self.CB.tables(geom)
+        assert np.all(tables[:, 0] == 1.0)
+        for m0 in range(3 if n > 1 else 0):
+            z = np.exp(1j * slope(geom, m0 + 1) * np.sin(self.CB.angles))
+            assert np.array_equal(tables[m0, 1], z)
+
+    def test_vectors_read_the_builder(self):
+        geom = table_geometry(32)
+        tables = self.CB.tables(geom)
+        for m in (1, 2, 3):
+            v = self.CB.vectors(geom, m)
+            assert v.shape == (32, 512) and v.dtype == complex
+            assert np.array_equal(v, tables[m - 1])
+        assert np.array_equal(self.CB.tables(geom, [3, 1]), tables[[2, 0]])
+
+
+def lowest_same_sine(cb):
+    sines = np.sin(cb.angles)
+    return np.array([np.flatnonzero(np.abs(sines - s) <= 1e-12)[0] for s in sines])
+
+
+class TestSameSineTieBreak:
+    def test_map_to_the_lowest_index_with_the_same_sine(self):
+        full = make_codebook(512, 0.0, 2 * math.pi)
+        for cb in (full, make_codebook(12, 0.0, 2 * math.pi), make_codebook(8), make_codebook(1)):
+            assert np.array_equal(cb.first_same_sine, lowest_same_sine(cb))
+        # the rho = 2 grid: 510 of 512 angles pair with a mirror pi - theta
+        assert len(np.unique(full.first_same_sine)) == 257
+        for q in (1, 7, 256, 512):
+            cb = make_codebook(q, 0.0, math.pi / 2)
+            assert np.array_equal(cb.first_same_sine, np.arange(q))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_searches_return_the_lowest_index_of_a_sine(self, seed):
+        rng = np.random.default_rng(seed)
+        cb = make_codebook(64, 0.0, 2 * math.pi)
+        first = lowest_same_sine(cb)
+        geom = ArrayGeometry(
+            n_antennas=16, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=3, cp_len=1
+        )
+        noise = NoiseModel(variance=0.05, tx_power=1.0)
+        vectors = cb.tables(geom)
+        for _ in range(8):
+            # a LoS angle on the grid whose mirror has the lower index
+            q_true = rng.choice(np.flatnonzero(first != np.arange(64)))
+            ch = los_channel(geom, rng.standard_normal(3) + 1j, cb.angles[q_true])
+            frames = [make_frame(16, "gaussian", rng) for _ in range(3)]
+            blocks = [receive(ch, transmit(PRE, frames[m0]), noise, rng, m0 + 1)
+                      for m0 in range(3)]
+            pilots = [(f.pilot1, f.pilot2) for f in frames]
+            scores, alpha_conj = sweep_scores(
+                np.stack([b.y for b in blocks]), FAM, vectors, pilots, noise
+            )
+            for m0 in range(3):
+                res = narrowband_search(blocks[m0], FAM, cb, geom, pilots[m0], noise)
+                q0 = res.q_star - 1
+                assert first[q0] == q0
+                assert res.score == scores[m0, q0]
+                assert np.array_equal(res.h_hat[0], np.conj(alpha_conj[m0, q0]) * vectors[m0, :, q0])
+            res = wideband_search(blocks, FAM, cb, geom, pilots, noise)
+            q0 = res.q_star - 1
+            assert first[q0] == q0
+            assert res.score == scores[:, q0].sum() / (3 + geom.cp_len)
+            assert np.array_equal(res.h_hat, np.conj(alpha_conj[:, q0, None]) * vectors[:, :, q0])
 
 
 class TestEstimateGain:

@@ -86,6 +86,21 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=message):
                 next(iter(run_experiment(cfg)))
 
+    def test_nan_rho_and_sinr_cap_rejected(self):
+        # nan fails no ordering test, so "rho <= 0 or rho > 2" let it through
+        with pytest.raises(ValueError, match="rho must lie in"):
+            quick_config(rho=float("nan")).validate()
+        with pytest.raises(ValueError, match="sinr_cap must be positive"):
+            quick_config(sinr_cap=float("nan")).validate()
+
+    def test_nan_sweep_point_rejected_before_the_first_trial(self):
+        cfg = replace(
+            preset("fig4d"), n_devices=4, n_trials=2, sweep_param="rho",
+            sweep_values=(2.0, float("nan")),
+        )
+        with pytest.raises(ValueError, match="sweep point rho=nan: rho must lie in"):
+            next(iter(run_experiment(cfg)))
+
     def test_non_integer_device_count_rejected(self):
         cfg = quick_config(sweep_param="n_devices", sweep_values=(4, 4.7))
         with pytest.raises(ValueError, match="n_devices must be an integer"):
@@ -346,6 +361,13 @@ sweep_param = none
         path.write_text("sweep_param = delta2_db\nsweep_values = -40, -30.5, -20\n")
         cfg = load_config_file(path)
         assert cfg.sweep_values == (-40, -30.5, -20)
+
+    def test_nan_rho_rejected(self, tmp_path):
+        path = tmp_path / "nan.cfg"
+        path.write_text("n_devices = 4\nn_trials = 2\nrho = nan\n")
+        cfg = load_config_file(path)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            cfg.validate()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
