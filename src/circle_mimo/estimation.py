@@ -48,7 +48,11 @@ class Codebook:
     pi - theta (mod 2*pi) share it.  ``first_same_sine[q0]`` is the lowest
     0-based grid index whose sine equals angle q0's to within 1e-12, so the
     searches can break such ties exactly; on a grid inside [0, pi/2) it is
-    the identity.
+    the identity.  The indices that are their own ``first_same_sine`` hold
+    each distinct sine once: ``sine_runs`` lists them as contiguous 0-based
+    [start, stop) runs, and ``sine_column[q0]`` is the position of angle
+    q0's sine among the runs laid end to end.  On the rho = 2 grid
+    [0, 2*pi) the runs are [0, Q/4] and (Q/2, 3Q/4], 257 sines at Q = 512.
     """
 
     q_levels: int
@@ -56,6 +60,8 @@ class Codebook:
     range_span: float
     angles: np.ndarray  # (Q,)
     first_same_sine: np.ndarray = field(init=False, repr=False, compare=False)
+    sine_runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    sine_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sines = np.sin(self.angles)
@@ -65,7 +71,14 @@ class Codebook:
         group = np.cumsum(new_group) - 1
         first = np.empty_like(order)
         first[order] = np.minimum.reduceat(order, np.flatnonzero(new_group))[group]
+        distinct = first == np.arange(self.q_levels)
+        # index 0 opens a run; the edges where distinct flips then alternate
+        # between closing and opening one, and Q closes the last if open
+        flips = np.flatnonzero(distinct[1:] != distinct[:-1]) + 1
+        edges = [0, *flips.tolist(), self.q_levels]
         object.__setattr__(self, "first_same_sine", first)
+        object.__setattr__(self, "sine_runs", tuple(zip(edges[::2], edges[1::2])))
+        object.__setattr__(self, "sine_column", (np.cumsum(distinct) - 1)[first])
 
     def tables(self, geometry: ArrayGeometry, subcarriers=None) -> np.ndarray:
         """Candidate steering vectors on each of ``subcarriers``, shape (len, N, Q).
@@ -177,41 +190,76 @@ def sweep_scores(
     pilots: np.ndarray,
     noise: NoiseModel,
     cap: float = SINR_CAP,
+    codebook: Codebook | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Codebook sweep of one device over all its subcarriers at once.
+    """Codebook sweep over all subcarriers of one device or of a few at once.
 
-    ``ys`` holds the device's received blocks, (M, N); ``vectors[m0]`` the
-    (N, Q) candidate steering vectors of subcarrier m0+1, as an (M, N, Q)
-    array (:meth:`Codebook.tables`) or a list, which each call stacks;
-    ``pilots`` the (M, 2) pilot pairs.  Every block is
-    combined with members N-1 and N in one product, then every candidate on
-    every subcarrier is scored in one elementwise pass with the formula of
-    :func:`estimate_gain` and :func:`score_candidate`, rewritten without the
-    division by the gain: gamma = |p_hat|^2 |alpha|^2 / |d_2 - p_hat alpha|^2.
-    Returns ``(scores, alpha_conj)``, each (M, Q).
+    ``ys`` holds one device's received blocks, (M, N), or those of C
+    devices that share the pilots, (C, M, N); ``vectors[m0]`` the (N, Q)
+    candidate steering vectors of subcarrier m0+1, as an (M, N, Q) array
+    (:meth:`Codebook.tables`) or a list, which each call stacks; ``pilots``
+    the (M, 2) pilot pairs.  Every block is combined with members N-1 and N
+    in one batch of matrix-vector products; then, per subcarrier, one
+    matrix product over the 2*C combined rows forms every candidate's pair
+    of inner products, and one elementwise pass scores them with the
+    formula of :func:`estimate_gain` and :func:`score_candidate`, rewritten
+    without the division by the gain:
+    gamma = |p_hat|^2 |alpha|^2 / |d_2 - p_hat alpha|^2.
+
+    With the ``codebook`` that built ``vectors``, only its distinct sines
+    are scored, one product per run of ``Codebook.sine_runs`` on a column
+    view of the table, and each grid index gets the score and gain of its
+    sine.  Returns ``(scores, alpha_conj)``, each (M, Q) or (C, M, Q) as
+    ``ys``, indexed by grid position either way.
     """
     ys = np.asarray(ys)
     vectors = np.asarray(vectors)
     pilots = np.asarray(pilots, dtype=complex)
-    mm, n = ys.shape
+    one_device = ys.ndim == 2
+    if one_device:
+        ys = ys[None]
+    c, mm, n = ys.shape
     if np.any(pilots == 0):
         raise ValueError("pilot symbols must be nonzero")
+    if codebook is not None and codebook.q_levels != vectors.shape[2]:
+        raise ValueError("vectors must be tables of the codebook's Q candidates")
     scale = math.sqrt(noise.tx_power * n)
+    runs = codebook.sine_runs if codebook is not None else ((0, vectors.shape[2]),)
 
-    # combined[m0, j] = member(N-1+j)^* @ ys[m0] and d[m0, j] = vectors[m0]^T
-    # @ combined[m0, j], each a batch of matrix-vector products
+    # combined[k0, m0, j] = member(N-1+j)^* @ ys[k0, m0], one matrix-vector
+    # product per block, regrouped as 2*C rows (device, member) per subcarrier
     combiners = family.members[n - 2 :].conj().reshape(2 * n, n)
-    combined = np.matmul(combiners, ys[:, :, None]).reshape(mm, 2, n, 1)
-    d = np.matmul(vectors.transpose(0, 2, 1)[:, None], combined)[..., 0]
+    combined = np.matmul(combiners, ys[..., None]).reshape(c, mm, 2, n)
+    rows = combined.transpose(1, 0, 2, 3).reshape(mm, 2 * c, n)
+    d = np.empty((mm, 2 * c, sum(stop - start for start, stop in runs)), dtype=complex)
+    col = 0
+    for start, stop in runs:
+        np.matmul(rows, vectors[:, :, start:stop], out=d[:, :, col : col + stop - start])
+        col += stop - start
+    d = d.reshape(mm, c, 2, -1)
 
-    alpha_conj = d[:, 0] * (1.0 / (scale * pilots[:, :1]))
-    p_hat = scale * pilots[:, 1:]
-    resid = d[:, 1] - p_hat * alpha_conj
+    alpha_conj = d[:, :, 0] * (1.0 / (scale * pilots[:, :1, None]))
+    p_hat = scale * pilots[:, 1:, None]
+    resid = d[:, :, 1]
+    resid -= p_hat * alpha_conj
+    gamma = _abs2(alpha_conj)
+    gamma *= _abs2(p_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = _abs2(p_hat) * _abs2(alpha_conj) / _abs2(resid)
+        gamma /= _abs2(resid)
+    del d, resid  # the products are done with; keep the chunk's peak low
     # a zero gain estimate gives 0 (or nan from 0/0), a zero residual with a
-    # nonzero gain inf, a nan candidate nan: cap, then score nan as 0
-    scores = np.log2(1.0 + np.fmax(np.minimum(gamma, cap), 0.0))
+    # nonzero gain inf, a nan candidate nan: cap, then score nan as 0, in place
+    scores = np.minimum(gamma, cap, out=gamma)
+    np.fmax(scores, 0.0, out=scores)
+    scores += 1.0
+    np.log2(scores, out=scores)
+
+    # (M, C, columns) to per-device (C, M, Q) grid rows
+    columns = codebook.sine_column if codebook is not None else np.arange(vectors.shape[2])
+    scores = np.take(scores.transpose(1, 0, 2), columns, axis=2)
+    alpha_conj = np.take(alpha_conj.transpose(1, 0, 2), columns, axis=2)
+    if one_device:
+        return scores[0], alpha_conj[0]
     return scores, alpha_conj
 
 
@@ -315,7 +363,11 @@ def complexity_psi(n: int, m: int, q_levels: int) -> int:
     """Closed-form complex-multiplication count M*(2*N^2 + Q*N).
 
     Two combiner-matrix products per subcarrier plus one length-N inner
-    product per candidate.  Exact integer arithmetic, no overflow.
+    product per candidate.  Exact integer arithmetic, no overflow.  This is
+    the paper's count for a receiver that scores every grid candidate; the
+    simulator's sweep scores each distinct sine once (``Codebook.sine_runs``),
+    so it does less work than this on a grid that holds mirror angles: 257
+    of Q = 512 candidates on [0, 2*pi).
     """
     if n < 1 or m < 1 or q_levels < 1:
         raise ValueError("all complexity arguments must be positive")

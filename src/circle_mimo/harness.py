@@ -4,7 +4,9 @@ Reproducibility notes: every random draw is keyed by a spawn chain on the
 experiment seed, (trial,) for frame symbols, (trial, device) for channel
 realizations and (trial, device, subcarrier) for receiver noise, so results
 are byte-identical for a fixed seed regardless of how many worker threads
-consume the trials.  Wall-clock timings are measured per method but written
+consume the trials.  Each trial derives the seed words of all its keys in
+one vectorised pass of NumPy's ``SeedSequence`` hash (``seeding``), which
+gives the streams ``SeedSequence(seed, spawn_key=key)`` gives.  Wall-clock timings are measured per method but written
 to the CSV as 0 unless explicitly requested, keeping the default output
 deterministic.
 
@@ -42,6 +44,7 @@ from .estimation import (
     wideband_search,
 )
 from .receiver import SINR_CAP, per_device_achieved_se, per_device_max_se
+from .seeding import generator, seed_words
 from .transceiver import make_frame, receive, transmit
 
 __all__ = [
@@ -165,6 +168,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown csir mode {self.csir!r}")
         if not self.sinr_cap > 0:
             raise ValueError("sinr_cap must be positive")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         for method in self.methods:
             if method in UNAVAILABLE_METHODS:
                 raise NotImplementedError(
@@ -300,6 +305,8 @@ class _SweepContext:
         self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
 
     def _rng(self, *key: int) -> np.random.Generator:
+        """The generator of one spawn key, built on its own; ``run_trial``
+        derives the same streams for all of a trial's keys in one pass."""
         return np.random.default_rng(
             np.random.SeedSequence(self.config.seed, spawn_key=tuple(key))
         )
@@ -308,22 +315,31 @@ class _SweepContext:
         cfg = self.config
         mm = cfg.n_subcarriers
         k_dev = self.k_devices
+        estimated = cfg.csir == "estimated" and bool({"circle", "r-circle"} & set(cfg.methods))
+
+        # seed words of the keys (trial,), (trial, k) and, for the received
+        # noise, (trial, k, m), all derived in one pass
+        keys = [(trial,)] + [(trial, k) for k in range(1, k_dev + 1)]
+        if estimated:
+            keys += [(trial, k, m) for k in range(1, k_dev + 1) for m in range(1, mm + 1)]
+        words = seed_words(cfg.seed, keys)
 
         channels = [
-            sample_channel(self.geometry, k, self._rng(trial, k), self.profile)
+            sample_channel(self.geometry, k, generator(words[k]), self.profile)
             for k in range(1, k_dev + 1)
         ]
         h_true = np.stack([ch.h for ch in channels])  # (K, M, N)
 
-        rng_trial = self._rng(trial)
+        rng_trial = generator(words[0])
         frames = [make_frame(self.n, cfg.symbol_source, rng_trial) for _ in range(mm)]
 
         estimates = {}
-        if cfg.csir == "estimated" and {"circle", "r-circle"} & set(cfg.methods):
+        if estimated:
             xs = [transmit(self.precoders, frames[m0]) for m0 in range(mm)]
+            noise_words = words[1 + k_dev :].reshape(k_dev, mm, 4)
             blocks = [
                 [
-                    receive(channels[k0], xs[m0], self.noise, self._rng(trial, k0 + 1, m0 + 1), m0 + 1)
+                    receive(channels[k0], xs[m0], self.noise, generator(noise_words[k0, m0]), m0 + 1)
                     for m0 in range(mm)
                 ]
                 for k0 in range(k_dev)
@@ -396,9 +412,11 @@ class _SweepContext:
     def _estimate(self, blocks, frames):
         """Channel estimates of the estimated-CSIR methods among the config's.
 
-        One codebook sweep per device serves both: ``circle`` picks an angle
-        per subcarrier from it, ``r-circle`` one angle from its
-        subcarrier mean.  Returns {method: (h_hat (K, M, N), q_star)}.
+        One codebook sweep serves both: ``circle`` picks an angle per
+        subcarrier from it, ``r-circle`` one angle from its subcarrier mean.
+        The sweep scores each distinct sine once, for a few devices at a
+        time: as many as make about 2*M*Q scored candidates.  Returns
+        {method: (h_hat (K, M, N), q_star)}.
         """
         cfg = self.config
         mm = cfg.n_subcarriers
@@ -406,28 +424,34 @@ class _SweepContext:
         methods = [m for m in ("circle", "r-circle") if m in cfg.methods]
         h_hat = {m: np.empty((self.k_devices, mm, self.n), dtype=complex) for m in methods}
         q_star: dict[str, list[int]] = {m: [] for m in methods}
-        for k0 in range(self.k_devices):
-            ys = np.stack([b.y for b in blocks[k0]])
-            scores, alpha_conj = sweep_scores(
-                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap
+        distinct = sum(stop - start for start, stop in self.codebook.sine_runs)
+        chunk = max(1, 2 * cfg.q_levels // distinct)
+        for c0 in range(0, self.k_devices, chunk):
+            devices = range(c0, min(c0 + chunk, self.k_devices))
+            ys = np.array([[b.y for b in blocks[k0]] for k0 in devices])
+            chunk_scores, chunk_alpha_conj = sweep_scores(
+                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap, self.codebook
             )
-            if "circle" in methods:
-                for m0 in range(mm):
-                    res = narrowband_search(
-                        blocks[k0][m0], self.family, self.codebook, self.geometry,
-                        pilots[m0], self.noise, cfg.sinr_cap, self.vectors[m0],
-                        sweep=(scores[m0], alpha_conj[m0]),
+            for k0, scores, alpha_conj in zip(devices, chunk_scores, chunk_alpha_conj):
+                if "circle" in methods:
+                    for m0 in range(mm):
+                        res = narrowband_search(
+                            blocks[k0][m0], self.family, self.codebook, self.geometry,
+                            pilots[m0], self.noise, cfg.sinr_cap, self.vectors[m0],
+                            sweep=(scores[m0], alpha_conj[m0]),
+                        )
+                        h_hat["circle"][k0, m0] = res.h_hat[0]
+                        q_star["circle"].append(res.q_star)
+                if "r-circle" in methods:
+                    res = wideband_search(
+                        blocks[k0], self.family, self.codebook, self.geometry,
+                        pilots, self.noise, cfg.sinr_cap, self.vectors,
+                        sweep=(scores, alpha_conj),
                     )
-                    h_hat["circle"][k0, m0] = res.h_hat[0]
-                    q_star["circle"].append(res.q_star)
-            if "r-circle" in methods:
-                res = wideband_search(
-                    blocks[k0], self.family, self.codebook, self.geometry,
-                    pilots, self.noise, cfg.sinr_cap, self.vectors,
-                    sweep=(scores, alpha_conj),
-                )
-                h_hat["r-circle"][k0] = res.h_hat
-                q_star["r-circle"].append(res.q_star)
+                    h_hat["r-circle"][k0] = res.h_hat
+                    q_star["r-circle"].append(res.q_star)
+            # release this chunk's sweep before the next one is scored
+            del chunk_scores, chunk_alpha_conj, scores, alpha_conj
         return {m: (h_hat[m], tuple(q_star[m])) for m in methods}
 
 
@@ -505,6 +529,8 @@ def summarize(results: Iterable[TrialResult]) -> list[dict]:
 
 _LIST_FIELDS = {"methods", "sweep_values"}
 _STR_FIELDS = {"symbol_source", "csit_normalization", "csir", "sweep_param"}
+# the fields whose None has a meaning: follow K + 2, the other power spec, no sweep
+_OPTIONAL_FIELDS = {"n_antennas", "snr_db", "p_t_db", "sweep_param", "sweep_values"}
 _INT_FIELDS = {
     "n_devices", "n_antennas", "n_nlos", "q_levels", "n_subcarriers",
     "cp_len", "n_trials", "seed",
@@ -515,7 +541,9 @@ def load_config_file(path) -> ExperimentConfig:
     """Parse a ``key = value`` config file mirroring ExperimentConfig fields.
 
     Lists (methods, sweep_values) are comma separated; ``#`` starts a
-    comment; the literal ``none`` clears an optional field.
+    comment; the literal ``none`` clears an optional field (n_antennas,
+    snr_db, p_t_db, sweep_param, sweep_values).  A value that does not parse
+    for its key raises ValueError naming the file, line and key.
     """
     values: dict = {}
     with open(path) as fh:
@@ -530,15 +558,23 @@ def load_config_file(path) -> ExperimentConfig:
             text = text.strip()
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, text)
+            try:
+                values[key] = _parse_value(key, text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(**values)
 
 
 def _parse_value(key: str, text: str):
     if text.lower() == "none":
+        if key not in _OPTIONAL_FIELDS:
+            raise ValueError("none is accepted only for " + ", ".join(sorted(_OPTIONAL_FIELDS)))
         return None
     if key == "methods":
-        return tuple(part.strip() for part in text.split(",") if part.strip())
+        methods = tuple(part.strip() for part in text.split(",") if part.strip())
+        if not methods:
+            raise ValueError("needs at least one method")
+        return methods
     if key == "sweep_values":
         parts = [part.strip() for part in text.split(",") if part.strip()]
         return tuple(_parse_number(p) for p in parts)

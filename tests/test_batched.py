@@ -248,3 +248,113 @@ def test_small_fig4d_run_reproduces_the_golden_csv(tmp_path):
     write_csv(run_experiment(config), out)
     golden = Path(__file__).with_name("data") / "fig4d_k6_seed11.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+class TestFoldedSweep:
+    """``sweep_scores`` on distinct sines only, for a chunk of devices at once."""
+
+    @pytest.mark.parametrize("rho", [1 / 32, 1 / 2, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("q", [1, 2, 7, 64, 512])
+    def test_runs_hold_each_distinct_sine_once(self, rho, q):
+        cb = make_codebook(q, 0.0, rho * math.pi)
+        distinct = np.flatnonzero(cb.first_same_sine == np.arange(q))
+        runs = np.concatenate([np.arange(start, stop) for start, stop in cb.sine_runs])
+        assert np.array_equal(runs, distinct)
+        assert all(start < stop for start, stop in cb.sine_runs)
+        assert all(a[1] < b[0] for a, b in zip(cb.sine_runs, cb.sine_runs[1:]))  # not adjacent
+        assert np.array_equal(distinct[cb.sine_column], cb.first_same_sine)
+        if rho <= 1 / 2:
+            assert cb.sine_runs == ((0, q),)
+
+    def test_runs_of_the_full_circle(self):
+        # the sines of [0, pi/2] and of (pi, 3pi/2]; pi repeats the sine of 0
+        assert make_codebook(512, 0.0, 2 * math.pi).sine_runs == ((0, 129), (257, 385))
+
+    def draw(self, seed, k_dev, mm, cb, noisy=True):
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel(variance=0.05 if noisy else 0.0, tx_power=rng.uniform(0.5, 2.0))
+        pilots = np.exp(2j * np.pi * rng.uniform(size=(mm, 2))) * rng.uniform(0.5, 2, (mm, 2))
+        geom = ArrayGeometry(
+            n_antennas=N, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=mm, cp_len=1
+        )
+        blocks = []
+        for k0 in range(k_dev):
+            gains = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
+            channel = los_channel(geom, gains, cb.angles[rng.integers(cb.q_levels)], k0 + 1)
+            blocks.append([
+                receive(channel, transmit(PRE, make_frame(N, "gaussian", rng, tuple(pilots[m0]))),
+                        noise, rng, m0 + 1)
+                for m0 in range(mm)
+            ])
+        ys = np.array([[b.y for b in dev] for dev in blocks])
+        return geom, noise, pilots, blocks, ys
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k_dev=st.integers(1, 4), mm=st.integers(1, 3),
+           rho=st.sampled_from([1 / 2, 1.0, 2.0]))
+    def test_grid_rows_match_the_scalar_gain_and_score(self, seed, k_dev, mm, rho):
+        cb = make_codebook(24, 0.0, rho * math.pi)
+        geom, noise, pilots, blocks, ys = self.draw(seed, k_dev, mm, cb)
+        vectors = cb.tables(geom)
+        scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, SINR_CAP, cb)
+        assert scores.shape == alpha_conj.shape == (k_dev, mm, cb.q_levels)
+        for k0 in range(k_dev):
+            for m0 in range(mm):
+                for q0 in range(cb.q_levels):
+                    cand = vectors[m0][:, q0]
+                    block = blocks[k0][m0]
+                    alpha = estimate_gain(cand, block, FAM, pilots[m0, 0], noise)
+                    score = score_candidate(cand, alpha, block, FAM, pilots[m0, 1], noise)
+                    assert close(alpha_conj[k0, m0, q0], np.conj(alpha))
+                    assert close(scores[k0, m0, q0], score)
+
+    def test_mirrors_carry_the_score_of_their_sine(self):
+        cb = make_codebook(64, 0.0, 2 * math.pi)
+        geom, noise, pilots, _, ys = self.draw(3, 3, 2, cb)
+        scores, alpha_conj = sweep_scores(ys, FAM, cb.tables(geom), pilots, noise, SINR_CAP, cb)
+        first = cb.first_same_sine
+        assert np.any(first != np.arange(64))
+        assert np.array_equal(scores, scores[..., first])
+        assert np.array_equal(alpha_conj, alpha_conj[..., first])
+
+    @pytest.mark.parametrize("k_dev", [1, 7])
+    def test_a_devices_rows_are_the_same_alone_and_in_any_chunk(self, k_dev):
+        cb = make_codebook(512, 0.0, 2 * math.pi)
+        geom, noise, pilots, _, ys = self.draw(11, k_dev, 3, cb)
+        vectors = cb.tables(geom)
+        alone = [sweep_scores(ys[k0], FAM, vectors, pilots, noise, SINR_CAP, cb)
+                 for k0 in range(k_dev)]
+        for chunk in range(1, k_dev + 1):  # 3, 4, 5 and 6 leave a shorter last chunk
+            for c0 in range(0, k_dev, chunk):
+                scores, alpha_conj = sweep_scores(
+                    ys[c0 : c0 + chunk], FAM, vectors, pilots, noise, SINR_CAP, cb
+                )
+                for i, k0 in enumerate(range(c0, min(c0 + chunk, k_dev))):
+                    assert np.array_equal(scores[i], alone[k0][0])
+                    assert np.array_equal(alpha_conj[i], alone[k0][1])
+
+    def test_searches_read_a_folded_chunk_as_their_own_sweep(self):
+        # r-circle and circle on folded chunk rows pick what they pick on the
+        # full-grid sweep they compute themselves
+        cb = make_codebook(128, 0.0, 2 * math.pi)
+        geom, noise, pilots, blocks, ys = self.draw(5, 4, 3, cb)
+        vectors = cb.tables(geom)
+        scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, SINR_CAP, cb)
+        pairs = [tuple(p) for p in pilots]
+        for k0 in range(4):
+            plain = wideband_search(blocks[k0], FAM, cb, geom, pairs, noise)
+            folded = wideband_search(blocks[k0], FAM, cb, geom, pairs, noise,
+                                     sweep=(scores[k0], alpha_conj[k0]))
+            assert folded.q_star == plain.q_star
+            np.testing.assert_allclose(folded.h_hat, plain.h_hat, rtol=1e-12, atol=0)
+            for m0 in range(3):
+                plain = narrowband_search(blocks[k0][m0], FAM, cb, geom, pairs[m0], noise)
+                folded = narrowband_search(blocks[k0][m0], FAM, cb, geom, pairs[m0], noise,
+                                           sweep=(scores[k0, m0], alpha_conj[k0, m0]))
+                assert folded.q_star == plain.q_star
+
+    def test_tables_of_another_codebook_rejected(self):
+        cb = make_codebook(64, 0.0, 2 * math.pi)
+        geom, noise, pilots, _, ys = self.draw(2, 2, 1, cb)
+        with pytest.raises(ValueError):
+            sweep_scores(ys, FAM, make_codebook(32).tables(geom), pilots, noise, SINR_CAP, cb)

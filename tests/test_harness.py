@@ -474,3 +474,53 @@ class TestCli:
         out = tmp_path / "r.csv"
         assert cli_main(["run", "--preset", "fig2", "--trials", "1", "--out", str(out), "--quiet"]) == 0
         assert "wmmse" not in capsys.readouterr().err
+
+
+# config-file values that used to reach validate() as None, or an empty method list
+BAD_CONFIG_LINES = [
+    "rho = none", "sinr_cap = none", "sigma2_db = none", "delta2_db = none",
+    "methods = none", "methods =",
+]
+
+
+class TestConfigFileValues:
+    def write(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n_devices = 4\nn_trials = 1\n{line}\n")
+        return path, line.split("=")[0].strip()
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_rejected_naming_file_line_and_key(self, tmp_path, line):
+        path, key = self.write(tmp_path, line)
+        with pytest.raises(ValueError) as err:
+            load_config_file(path)
+        assert str(err.value).startswith(f"{path}:3: {key}:")
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_cli_exits_1_with_one_error_line(self, tmp_path, capsys, line):
+        path, key = self.write(tmp_path, line)
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}:3: {key}:")
+        assert captured.out == "" and not out.exists()
+
+    def test_unparsable_number_names_file_line_and_key(self, tmp_path):
+        path, _ = self.write(tmp_path, "n_nlos = three")
+        with pytest.raises(ValueError, match=r":3: n_nlos:"):
+            load_config_file(path)
+
+    def test_optional_fields_accept_none(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text(
+            "n_devices = 4\nn_trials = 1\nn_antennas = none\nsnr_db = none\np_t_db = 0\n"
+            "sweep_param = none\nsweep_values = none\n"
+        )
+        cfg = load_config_file(path)
+        assert cfg.n_antennas is cfg.snr_db is cfg.sweep_param is cfg.sweep_values is None
+        cfg.validate()
+
+    def test_empty_method_list_rejected_by_validate(self):
+        with pytest.raises(ValueError, match="at least one method"):
+            quick_config(methods=()).validate()
