@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,18 @@ class ArrayGeometry:
             raise ValueError(f"subcarrier {m} out of range 1..{self.n_subcarriers}")
         mm = self.n_subcarriers
         return self.carrier_freq_hz + self.bandwidth_hz * (2 * m - 1 - mm) / (2 * mm)
+
+    @cached_property
+    def phase_base(self) -> np.ndarray:
+        """(M, 1, N) phases i*pi*(f_m/f_c)*p of antenna p per unit sine on
+        subcarrier m, built once per geometry for :func:`sample_channel`."""
+        ratios = np.array(
+            [self.subcarrier_freq_hz(m) for m in range(1, self.n_subcarriers + 1)]
+        ) / self.carrier_freq_hz
+        p = np.arange(self.n_antennas)
+        base = ((1j * np.pi * ratios)[:, None] * p)[:, None, :]
+        base.flags.writeable = False
+        return base
 
 
 @dataclass(frozen=True)
@@ -170,17 +183,11 @@ def sample_channel(
     # responses[m0, 1 + l0] that of NLoS path l0.  The phase products run in
     # array_response's order and the paths are summed LoS first, so h is
     # bit-identical to summing array_response over the paths.
-    ratios = np.array(
-        [geometry.subcarrier_freq_hz(m) for m in range(1, mm + 1)]
-    ) / geometry.carrier_freq_hz
-    p = np.arange(geometry.n_antennas)
     sines = np.sin(np.concatenate([[theta], nlos_aods]))
-    responses = np.exp(
-        ((1j * np.pi * ratios)[:, None] * p)[:, None, :] * sines[None, :, None]
-    )
+    responses = np.exp(geometry.phase_base * sines[None, :, None])
     h = los_gain[:, None] * responses[:, 0]
     for l0 in range(ll):
-        h = h + nlos_gains[:, l0, None] * responses[:, 1 + l0]
+        h += nlos_gains[:, l0, None] * responses[:, 1 + l0]
 
     return ChannelRealization(
         device=device,

@@ -55,7 +55,10 @@ def main(argv: list[str] | None = None) -> int:
         # precedence: --seed flag, then CIRCLE_SEED, then the config value
         env_seed = os.environ.get("CIRCLE_SEED")
         if env_seed is not None:
-            config.seed = int(env_seed)
+            try:
+                config.seed = int(env_seed)
+            except ValueError:
+                raise ValueError(f"CIRCLE_SEED must be an integer, got {env_seed!r}") from None
         if args.seed is not None:
             config.seed = args.seed
         config.validate()

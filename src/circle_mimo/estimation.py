@@ -49,9 +49,10 @@ class Codebook:
     0-based grid index whose sine equals angle q0's to within 1e-12, so the
     searches can break such ties exactly; on a grid inside [0, pi/2) it is
     the identity.  The indices that are their own ``first_same_sine`` hold
-    each distinct sine once: ``sine_runs`` lists them as contiguous 0-based
-    [start, stop) runs, and ``sine_column[q0]`` is the position of angle
-    q0's sine among the runs laid end to end.  On the rho = 2 grid
+    each distinct sine once: ``distinct`` lists them in ascending order,
+    ``sine_runs`` as contiguous 0-based [start, stop) runs, and
+    ``sine_column[q0]`` is the position of angle q0's sine in ``distinct``,
+    so ``distinct[sine_column] == first_same_sine``.  On the rho = 2 grid
     [0, 2*pi) the runs are [0, Q/4] and (Q/2, 3Q/4], 257 sines at Q = 512.
     """
 
@@ -60,6 +61,7 @@ class Codebook:
     range_span: float
     angles: np.ndarray  # (Q,)
     first_same_sine: np.ndarray = field(init=False, repr=False, compare=False)
+    distinct: np.ndarray = field(init=False, repr=False, compare=False)
     sine_runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     sine_column: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -77,6 +79,7 @@ class Codebook:
         flips = np.flatnonzero(distinct[1:] != distinct[:-1]) + 1
         edges = [0, *flips.tolist(), self.q_levels]
         object.__setattr__(self, "first_same_sine", first)
+        object.__setattr__(self, "distinct", np.flatnonzero(distinct))
         object.__setattr__(self, "sine_runs", tuple(zip(edges[::2], edges[1::2])))
         object.__setattr__(self, "sine_column", (np.cumsum(distinct) - 1)[first])
 
@@ -130,6 +133,9 @@ def make_codebook(
 ) -> Codebook:
     if q_levels < 1:
         raise ValueError("q_levels must be positive")
+    for name, value in (("range_start", range_start), ("range_span", range_span)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if range_span <= 0:
         raise ValueError("range_span must be positive")
     q = np.arange(q_levels)
@@ -206,11 +212,13 @@ def sweep_scores(
     without the division by the gain:
     gamma = |p_hat|^2 |alpha|^2 / |d_2 - p_hat alpha|^2.
 
-    With the ``codebook`` that built ``vectors``, only its distinct sines
+    With the ``codebook`` that built ``vectors``, only its D distinct sines
     are scored, one product per run of ``Codebook.sine_runs`` on a column
-    view of the table, and each grid index gets the score and gain of its
-    sine.  Returns ``(scores, alpha_conj)``, each (M, Q) or (C, M, Q) as
-    ``ys``, indexed by grid position either way.
+    view of the table; without one, every candidate is its own sine
+    (D = Q).  Returns ``(scores, alpha_conj)``, each (M, D) or (C, M, D) as
+    ``ys``, with one column per distinct sine: column j holds grid index
+    ``codebook.distinct[j]``, and grid index q0 reads column
+    ``codebook.sine_column[q0]``.
     """
     ys = np.asarray(ys)
     vectors = np.asarray(vectors)
@@ -254,10 +262,9 @@ def sweep_scores(
     scores += 1.0
     np.log2(scores, out=scores)
 
-    # (M, C, columns) to per-device (C, M, Q) grid rows
-    columns = codebook.sine_column if codebook is not None else np.arange(vectors.shape[2])
-    scores = np.take(scores.transpose(1, 0, 2), columns, axis=2)
-    alpha_conj = np.take(alpha_conj.transpose(1, 0, 2), columns, axis=2)
+    # (M, C, D) to per-device (C, M, D) rows, as views
+    scores = scores.transpose(1, 0, 2)
+    alpha_conj = alpha_conj.transpose(1, 0, 2)
     if one_device:
         return scores[0], alpha_conj[0]
     return scores, alpha_conj
@@ -280,32 +287,32 @@ def narrowband_search(
 ) -> EstimationResult:
     """Single-subcarrier codebook sweep.
 
-    Visits every grid index and keeps the best score.  Exact ties go to the
-    lowest index, and so does a winner's mirror: the candidates with its
-    sine (``Codebook.first_same_sine``) share its steering vector, so the
-    roundoff alone would pick among them.  The gain, channel and score are
-    read at the lowest such index.  ``vectors`` can carry precomputed
-    candidate steering vectors for the block's subcarrier, and ``sweep`` the
-    block's precomputed ``(scores, alpha_conj)`` rows of
-    :func:`sweep_scores`.
+    Scores each distinct sine of the codebook once and keeps the best, at
+    the lowest grid index with that sine (``Codebook.distinct``): the
+    candidates that share a sine share a steering vector, so no grid index
+    but the lowest is ever picked.  Exact ties between sines go to the
+    lowest index too, as ``distinct`` ascends.  ``vectors`` can carry
+    precomputed (N, Q) candidate steering vectors for the block's
+    subcarrier, and ``sweep`` the block's precomputed ``(scores,
+    alpha_conj)`` rows of :func:`sweep_scores` with this codebook, each (D,).
     """
     if vectors is None:
         vectors = codebook.vectors(geometry, block.subcarrier)
     if sweep is None:
         scores, alpha_conj = sweep_scores(
-            block.y[None, :], family, vectors[None], [pilots], noise, cap
+            block.y[None, :], family, vectors[None], [pilots], noise, cap, codebook
         )
         sweep = scores[0], alpha_conj[0]
     scores, alpha_conj = sweep
-    q0 = int(codebook.first_same_sine[np.argmax(scores)])
-    alpha = np.conj(alpha_conj[q0])
+    col, q0 = _winner(scores, codebook)
+    alpha = np.conj(alpha_conj[col])
     h_hat = alpha * vectors[:, q0]
     return EstimationResult(
         device=block.device,
         q_star=q0 + 1,
         alpha_hat=np.array([alpha]),
         h_hat=h_hat[None, :],
-        score=float(scores[q0]),
+        score=float(scores[col]),
         multiply_count=complexity_psi(family.n, 1, codebook.q_levels),
     )
 
@@ -315,7 +322,7 @@ def wideband_search(
     family: PermutedDftFamily,
     codebook: Codebook,
     geometry: ArrayGeometry,
-    pilots: list[tuple[complex, complex]] | tuple[complex, complex],
+    pilots: np.ndarray | list[tuple[complex, complex]] | tuple[complex, complex],
     noise: NoiseModel,
     cap: float = SINR_CAP,
     vectors: np.ndarray | list[np.ndarray] | None = None,
@@ -323,40 +330,59 @@ def wideband_search(
 ) -> EstimationResult:
     """Joint sweep across subcarriers sharing one departure angle.
 
-    Per-subcarrier scores for each grid index are averaged with the
+    Per-subcarrier scores of each distinct sine are averaged with the
     1/(M + L_cp) cyclic-prefix weight and the argmax of that mean picks a
-    single angle, mapped to the lowest index with the same sine as in
-    :func:`narrowband_search`; per-subcarrier gains are read off at it.
+    single angle, at its lowest grid index as in :func:`narrowband_search`;
+    per-subcarrier gains are read off at it.  ``pilots`` is one pair for
+    every subcarrier, shape (2,), or one pair per subcarrier, shape (M, 2).
     With a single subcarrier and no cyclic prefix this reduces exactly to
     :func:`narrowband_search`.  ``sweep`` can carry the blocks' precomputed
-    ``(scores, alpha_conj)`` of :func:`sweep_scores`, each (M, Q).
+    ``(scores, alpha_conj)`` of :func:`sweep_scores` with this codebook,
+    each (M, D).
     """
     mm = len(blocks)
     if mm == 0:
         raise ValueError("need at least one received block")
-    if isinstance(pilots, tuple):
-        pilots = [pilots] * mm
-    if len(pilots) != mm:
-        raise ValueError("one pilot pair per subcarrier required")
+    pilots = np.asarray(pilots, dtype=complex)
+    if pilots.shape == (2,):
+        pilots = np.broadcast_to(pilots, (mm, 2))
+    elif pilots.shape != (mm, 2):
+        raise ValueError(
+            f"pilots must be one pair, shape (2,), or one pair per subcarrier, "
+            f"shape ({mm}, 2); got shape {pilots.shape}"
+        )
     if vectors is None:
         vectors = codebook.tables(geometry, [b.subcarrier for b in blocks])
+    vectors = np.asarray(vectors)
     if sweep is None:
         ys = np.stack([b.y for b in blocks])
-        sweep = sweep_scores(ys, family, vectors, pilots, noise, cap)
+        sweep = sweep_scores(ys, family, vectors, pilots, noise, cap, codebook)
     scores, alpha_conj = sweep
     mean_scores = scores.sum(axis=0) / (mm + geometry.cp_len)
 
-    q0 = int(codebook.first_same_sine[np.argmax(mean_scores)])
-    alpha = np.conj(alpha_conj[:, q0])
-    h_hat = alpha[:, None] * np.stack([v[:, q0] for v in vectors])
+    col, q0 = _winner(mean_scores, codebook)
+    alpha = np.conj(alpha_conj[:, col])
+    h_hat = alpha[:, None] * vectors[:, :, q0]
     return EstimationResult(
         device=blocks[0].device,
         q_star=q0 + 1,
         alpha_hat=alpha,
         h_hat=h_hat,
-        score=float(mean_scores[q0]),
+        score=float(mean_scores[col]),
         multiply_count=complexity_psi(family.n, mm, codebook.q_levels),
     )
+
+
+def _winner(scores: np.ndarray, codebook: Codebook) -> tuple[int, int]:
+    """The column of the best of one row of per-sine ``scores``, first on
+    exact ties, and its 0-based grid index."""
+    if scores.shape != codebook.distinct.shape:
+        raise ValueError(
+            f"sweep rows must hold the codebook's {codebook.distinct.size} distinct sines, "
+            f"got {scores.shape[-1]} columns"
+        )
+    col = int(scores.argmax())
+    return col, int(codebook.distinct[col])
 
 
 def complexity_psi(n: int, m: int, q_levels: int) -> int:

@@ -424,8 +424,7 @@ class _SweepContext:
         methods = [m for m in ("circle", "r-circle") if m in cfg.methods]
         h_hat = {m: np.empty((self.k_devices, mm, self.n), dtype=complex) for m in methods}
         q_star: dict[str, list[int]] = {m: [] for m in methods}
-        distinct = sum(stop - start for start, stop in self.codebook.sine_runs)
-        chunk = max(1, 2 * cfg.q_levels // distinct)
+        chunk = max(1, 2 * cfg.q_levels // self.codebook.distinct.size)
         for c0 in range(0, self.k_devices, chunk):
             devices = range(c0, min(c0 + chunk, self.k_devices))
             ys = np.array([[b.y for b in blocks[k0]] for k0 in devices])

@@ -125,8 +125,14 @@ def receive(
     n_slots = xs.shape[0]
     re = rng.standard_normal(n_slots)
     im = rng.standard_normal(n_slots)
-    z = (re + 1j * im) * np.sqrt(noise.variance / 2.0)
-    y = np.sqrt(noise.tx_power) * (xs @ h.conj()) + z
+    # bitwise (re + 1j*im) * scale and sqrt(p_t) * (xs @ h^*) + z, in place
+    scale = np.sqrt(noise.variance / 2.0)
+    z = np.empty(n_slots, dtype=complex)
+    np.multiply(re, scale, out=z.real)
+    np.multiply(im, scale, out=z.imag)
+    y = xs @ h.conj()
+    y *= np.sqrt(noise.tx_power)
+    y += z
     return ReceivedBlock(device=channel.device, subcarrier=m, y=y, noise_realization=z)
 
 

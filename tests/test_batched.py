@@ -297,16 +297,17 @@ class TestFoldedSweep:
         geom, noise, pilots, blocks, ys = self.draw(seed, k_dev, mm, cb)
         vectors = cb.tables(geom)
         scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, SINR_CAP, cb)
-        assert scores.shape == alpha_conj.shape == (k_dev, mm, cb.q_levels)
+        assert scores.shape == alpha_conj.shape == (k_dev, mm, cb.distinct.size)
         for k0 in range(k_dev):
             for m0 in range(mm):
                 for q0 in range(cb.q_levels):
+                    col = cb.sine_column[q0]
                     cand = vectors[m0][:, q0]
                     block = blocks[k0][m0]
                     alpha = estimate_gain(cand, block, FAM, pilots[m0, 0], noise)
                     score = score_candidate(cand, alpha, block, FAM, pilots[m0, 1], noise)
-                    assert close(alpha_conj[k0, m0, q0], np.conj(alpha))
-                    assert close(scores[k0, m0, q0], score)
+                    assert close(alpha_conj[k0, m0, col], np.conj(alpha))
+                    assert close(scores[k0, m0, col], score)
 
     def test_mirrors_carry_the_score_of_their_sine(self):
         cb = make_codebook(64, 0.0, 2 * math.pi)
@@ -314,8 +315,55 @@ class TestFoldedSweep:
         scores, alpha_conj = sweep_scores(ys, FAM, cb.tables(geom), pilots, noise, SINR_CAP, cb)
         first = cb.first_same_sine
         assert np.any(first != np.arange(64))
-        assert np.array_equal(scores, scores[..., first])
-        assert np.array_equal(alpha_conj, alpha_conj[..., first])
+        assert scores.shape[-1] == cb.distinct.size < 64
+        # every grid index reads the column of its lowest same-sine index
+        grid_scores = scores[..., cb.sine_column]
+        grid_alpha = alpha_conj[..., cb.sine_column]
+        assert np.array_equal(grid_scores, grid_scores[..., first])
+        assert np.array_equal(grid_alpha, grid_alpha[..., first])
+        assert np.array_equal(cb.sine_column[cb.distinct], np.arange(cb.distinct.size))
+
+    @pytest.mark.parametrize("rho", [1 / 32, 1 / 2, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("q", [1, 2, 7, 64, 512])
+    def test_distinct_lists_the_lowest_index_of_each_sine(self, rho, q):
+        cb = make_codebook(q, 0.0, rho * math.pi)
+        assert np.all(np.diff(cb.distinct) > 0)
+        assert np.array_equal(cb.distinct[cb.sine_column], cb.first_same_sine)
+        assert cb.distinct.size == len(np.unique(cb.first_same_sine))
+        assert cb.distinct.size == sum(stop - start for start, stop in cb.sine_runs)
+
+    @pytest.mark.parametrize("cols", [(3, 20), (20, 25), (0, 32)])
+    def test_a_tie_between_sines_goes_to_the_lower_index(self, cols):
+        # constructed rows: two different sines score exactly the same best value
+        cb = make_codebook(64, 0.0, 2 * math.pi)
+        mm = 2
+        geom = ArrayGeometry(N, 100e9, 10e9, n_subcarriers=mm, cp_len=1)
+        blocks = [ReceivedBlock(1, m0 + 1, np.zeros(N, complex), np.zeros(N, complex))
+                  for m0 in range(mm)]
+        rng = np.random.default_rng(8)
+        scores = rng.uniform(0.0, 1.0, (mm, cb.distinct.size))
+        scores[:, list(cols)] = 2.0
+        alpha_conj = rng.standard_normal(scores.shape) + 1j * rng.standard_normal(scores.shape)
+        low, high = cb.distinct[list(cols)]
+        assert low < high and cb.first_same_sine[high] == high  # different sines
+        pairs = [(1.0, 1.0)] * mm
+        wide = wideband_search(blocks, FAM, cb, geom, pairs, NoiseModel(),
+                               sweep=(scores, alpha_conj))
+        assert wide.q_star == low + 1
+        assert wide.score == 2.0 * mm / (mm + geom.cp_len)
+        for m0 in range(mm):
+            narrow = narrowband_search(blocks[m0], FAM, cb, geom, pairs[m0], NoiseModel(),
+                                       sweep=(scores[m0], alpha_conj[m0]))
+            assert narrow.q_star == low + 1 and narrow.score == 2.0
+            assert narrow.alpha_hat[0] == np.conj(alpha_conj[m0, cols[0]])
+
+    def test_searches_reject_rows_of_another_fold(self):
+        cb = make_codebook(64, 0.0, 2 * math.pi)
+        geom = ArrayGeometry(N, 100e9)
+        block = ReceivedBlock(1, 1, np.zeros(N, complex), np.zeros(N, complex))
+        grid_rows = (np.zeros(64), np.zeros(64, complex))  # one column per grid index
+        with pytest.raises(ValueError, match="distinct sines"):
+            narrowband_search(block, FAM, cb, geom, (1.0, 1.0), NoiseModel(), sweep=grid_rows)
 
     @pytest.mark.parametrize("k_dev", [1, 7])
     def test_a_devices_rows_are_the_same_alone_and_in_any_chunk(self, k_dev):

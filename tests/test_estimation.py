@@ -63,6 +63,15 @@ class TestCodebook:
         with pytest.raises(ValueError):
             make_codebook(4, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field, start, span", [
+        ("range_start", math.inf, math.pi), ("range_start", -math.inf, math.pi),
+        ("range_start", math.nan, math.pi), ("range_span", 0.0, math.nan),
+        ("range_span", 0.0, math.inf),
+    ])
+    def test_non_finite_range_rejected_by_name(self, field, start, span):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_codebook(8, start, span)
+
 
 # subcarrier-to-carrier frequency ratios 0.955, 1 and 1.045
 def table_geometry(n):
@@ -385,6 +394,32 @@ class TestWidebandSearch:
     def test_block_count_validation(self):
         with pytest.raises(ValueError):
             wideband_search([], FAM, CB, GEOM, (1.0, 1.0), NOISELESS)
+
+    def test_pilots_by_shape(self):
+        rng = np.random.default_rng(16)
+        noise = NoiseModel(variance=0.2, tx_power=1.0)
+        _, frames, blocks = self.wide_blocks(CB.angles[40], rng, noise)
+        pairs = [(f.pilot1, f.pilot2) for f in frames]
+        as_list = wideband_search(blocks, FAM, CB, self.WGEOM, pairs, noise)
+        as_tuple = wideband_search(blocks, FAM, CB, self.WGEOM, tuple(pairs), noise)
+        as_array = wideband_search(blocks, FAM, CB, self.WGEOM, np.array(pairs), noise)
+        for res in (as_tuple, as_array):
+            assert res.q_star == as_list.q_star and res.score == as_list.score
+            assert np.array_equal(res.h_hat, as_list.h_hat)
+        # one pair, as a tuple or an array, stands for every subcarrier
+        each = wideband_search(blocks, FAM, CB, self.WGEOM, [(1.0, 1.0)] * 4, noise)
+        for one_pair in ((1.0, 1.0), np.array([1.0, 1.0])):
+            one = wideband_search(blocks, FAM, CB, self.WGEOM, one_pair, noise)
+            assert one.q_star == each.q_star and np.array_equal(one.h_hat, each.h_hat)
+
+    @pytest.mark.parametrize("pilots", [
+        (1.0, 1.0, 1.0), [(1.0, 1.0)] * 3, [(1.0, 1.0, 1.0)] * 4, np.ones((4, 2, 1)),
+    ])
+    def test_pilots_of_another_shape_rejected(self, pilots):
+        rng = np.random.default_rng(17)
+        _, _, blocks = self.wide_blocks(CB.angles[40], rng)
+        with pytest.raises(ValueError, match=r"^pilots must be one pair"):
+            wideband_search(blocks, FAM, CB, self.WGEOM, pilots, NOISELESS)
 
 
 class TestGainGuessInvariance:

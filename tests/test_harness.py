@@ -430,6 +430,15 @@ class TestCli:
         assert r1.returncode == 0 and r2.returncode == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_non_integer_env_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CIRCLE_SEED", "abc")
+        out = tmp_path / "r.csv"
+        assert cli_main(["run", "--preset", "fig2", "--trials", "1", "--out", str(out),
+                         "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: CIRCLE_SEED must be an integer, got 'abc'"]
+        assert captured.out == "" and not out.exists()
+
     def test_nonzero_exit_on_bad_input(self, tmp_path):
         rc = cli_main(["run", "--preset", "fig2", "--trials", "0", "--quiet"])
         assert rc != 0
