@@ -19,13 +19,11 @@ from .channel import ArrayGeometry, NoiseModel
 __all__ = [
     "WMMSE_MAX_ITERS",
     "SingularChannelError",
-    "CsitPrecoder",
     "mrt",
     "zf",
     "wmmse",
     "csit_amplitude",
     "per_device_csit_se",
-    "csit_sum_se",
 ]
 
 # outer-iteration cap of wmmse; a solve that reaches it reports converged=False
@@ -33,7 +31,7 @@ WMMSE_MAX_ITERS = 100
 
 
 class SingularChannelError(ValueError):
-    """The stacked channel matrix cannot be inverted for zero forcing."""
+    """The channels admit no beams: a zero channel, or more devices than antennas."""
 
 
 @dataclass(frozen=True)
@@ -60,19 +58,21 @@ def zf(channels: np.ndarray) -> CsitPrecoder:
     """Zero forcing: normalized columns of the stacked-channel pseudo-inverse.
 
     Rows of ``channels`` are the device channels h_k; the beams satisfy
-    h_k^H f_k2 = 0 for k != k2.  Requires K <= N and a full-rank stack.
+    h_k^H f_k2 = 0 for k != k2 when the stack has full rank K <= N.  A
+    numerically rank-deficient stack gets the pseudo-inverse's beams, which
+    null only what its numerical range allows.
     """
     h = np.asarray(channels, dtype=complex)
     k, n = h.shape
     if k > n:
         raise SingularChannelError(f"cannot zero-force {k} devices with {n} antennas")
     stack = h.conj()  # rows h_k^H
-    if np.linalg.matrix_rank(stack) < k:
-        raise SingularChannelError("stacked channel matrix is rank deficient")
-    pinv = np.linalg.pinv(stack)  # (N, K), stack @ pinv = I
+    pinv = np.linalg.pinv(stack)  # (N, K), stack @ pinv = I at full rank
     vectors = pinv.T
-    vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    return CsitPrecoder(kind="zf", vectors=vectors)
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise SingularChannelError("zero channel vector")
+    return CsitPrecoder(kind="zf", vectors=vectors / norms)
 
 
 def wmmse(
@@ -284,16 +284,3 @@ def per_device_csit_se(
         sig, rest = _desired_and_rest(cross, noise.variance)
         out += np.log2(1.0 + sig / rest)
     return out / (mm + geometry.cp_len)
-
-
-def csit_sum_se(
-    precoders: list[CsitPrecoder],
-    channels: np.ndarray,
-    noise: NoiseModel,
-    geometry: ArrayGeometry,
-    normalization: str = "amplitude",
-) -> float:
-    """Benchmark sum spectral efficiency across devices and subcarriers."""
-    return float(
-        np.sum(per_device_csit_se(precoders, channels, noise, geometry, normalization))
-    )

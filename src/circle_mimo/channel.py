@@ -17,12 +17,9 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "ChannelProfile",
-    "ChannelRealization",
     "NoiseModel",
-    "array_response",
     "db_to_linear",
     "sample_channel",
-    "snr_db",
 ]
 
 

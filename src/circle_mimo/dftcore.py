@@ -2,9 +2,9 @@
 
 Everything the transmitter and the receivers use is derived from a single
 N x N unitary DFT matrix whose columns are reordered by the columns of a
-circulant index matrix.  The key structural property, exposed here through
-:func:`pairwise_product`, is that the product of two distinct family members
-is a diagonal matrix whose diagonal sums to zero.  That zero-trace diagonal
+circulant index matrix, entry (i, k) = ((i - k) mod N) + 1.  The key
+structural property is that the product of two distinct family members is
+a diagonal matrix whose diagonal sums to zero.  That zero-trace diagonal
 is what lets a matched linear combiner cancel all inter-device interference.
 In closed form, with omega = exp(-2i*pi/N) and 0-based indices,
 
@@ -16,9 +16,8 @@ N-th roots of unity, and the whole set-up costs O(N^3): one write per
 output entry.
 
 Index conventions: the construction is naturally 1-based (member k, slot n,
-device k), so the index matrix stores values in 1..N and ``entry(i, k)``
-takes 1-based arguments.  All ndarray storage is plain 0-based numpy; the
-conversion lives entirely inside :class:`CirculantIndex`.
+device k), and the ``member`` and ``slot`` accessors take 1-based
+arguments.  All ndarray storage is plain 0-based numpy.
 """
 
 from __future__ import annotations
@@ -27,43 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "CirculantIndex",
-    "DftMatrix",
-    "PermutedDftFamily",
-    "PrecoderSet",
-    "build_circulant_index",
-    "build_dft",
-    "build_family",
-    "build_precoders",
-    "pairwise_product",
-    "pairwise_diagonals",
-]
-
-
-@dataclass(frozen=True)
-class CirculantIndex:
-    """Circulant index matrix with entry(i, k) = ((i - k) mod n) + 1."""
-
-    n: int
-    entries: np.ndarray  # (n, n) ints in 1..n
-
-    def entry(self, i: int, k: int) -> int:
-        """1-based accessor: row i, column k."""
-        return int(self.entries[i - 1, k - 1])
-
-    @property
-    def zero_based(self) -> np.ndarray:
-        """Same matrix shifted to 0..n-1, usable directly as column indices."""
-        return self.entries - 1
-
-
-@dataclass(frozen=True)
-class DftMatrix:
-    """Unitary DFT matrix, u[p, j] = exp(-2i*pi*p*j/n) / sqrt(n) (0-based)."""
-
-    n: int
-    u: np.ndarray  # (n, n) complex
+__all__ = ["build_family", "build_precoders", "pairwise_diagonals"]
 
 
 @dataclass(frozen=True)
@@ -99,26 +62,12 @@ class PrecoderSet:
         return self.slots[n - 1]
 
 
-def build_circulant_index(n: int) -> CirculantIndex:
-    """Construct the n x n circulant index matrix.
-
-    Each row and column is a permutation of 1..n, and consecutive columns
-    are circular downward shifts of each other.
-    """
-    if n < 1:
-        raise ValueError(f"matrix size must be a positive integer, got {n}")
-    i = np.arange(n)
-    entries = (i[:, None] - i[None, :]) % n + 1
-    return CirculantIndex(n=n, entries=entries)
-
-
-def build_dft(n: int) -> DftMatrix:
-    """Construct the unitary n x n DFT matrix (roots of exp(-2i*pi/n))."""
+def build_dft(n: int) -> np.ndarray:
+    """The unitary n x n DFT matrix, u[p, j] = exp(-2i*pi*p*j/n) / sqrt(n) (0-based)."""
     if n < 1:
         raise ValueError(f"matrix size must be a positive integer, got {n}")
     p = np.arange(n)
-    u = np.exp(-2j * np.pi * np.outer(p, p) / n) / np.sqrt(n)
-    return DftMatrix(n=n, u=u)
+    return np.exp(-2j * np.pi * np.outer(p, p) / n) / np.sqrt(n)
 
 
 def build_family(n: int) -> PermutedDftFamily:
@@ -131,7 +80,7 @@ def build_family(n: int) -> PermutedDftFamily:
     (k0, antenna, slot) layout: O(n^3) copies and no temporary beyond the
     output.
     """
-    u = build_dft(n).u
+    u = build_dft(n)
     uu = np.concatenate([u, u], axis=1)
     members = np.empty((n, n, n), dtype=complex)
     for k0 in range(n):
@@ -149,17 +98,6 @@ def build_precoders(family: PermutedDftFamily) -> PrecoderSet:
     # members[k0][:, n0] and slots[n0][:, k0] are the same DFT column.
     slots = np.ascontiguousarray(np.transpose(family.members, (2, 1, 0)))
     return PrecoderSet(n=n, slots=slots)
-
-
-def pairwise_product(family: PermutedDftFamily, k: int, k2: int) -> np.ndarray:
-    """Return member_k @ member_k2^H (1-based indices).
-
-    The result is the identity when ``k == k2`` and a zero-trace diagonal
-    matrix otherwise; callers can assert that structure directly.
-    """
-    a = family.member(k)
-    b = family.member(k2)
-    return a @ b.conj().T
 
 
 def pairwise_diagonals(family: PermutedDftFamily) -> np.ndarray:

@@ -21,11 +21,7 @@ from .receiver import SINR_CAP
 from .transceiver import ReceivedBlock
 
 __all__ = [
-    "Codebook",
-    "EstimationResult",
     "make_codebook",
-    "estimate_gain",
-    "score_candidate",
     "sweep_scores",
     "narrowband_search",
     "wideband_search",
@@ -145,50 +141,6 @@ def make_codebook(
     )
 
 
-def estimate_gain(
-    candidate: np.ndarray,
-    block: ReceivedBlock,
-    family: PermutedDftFamily,
-    pilot1: complex,
-    noise: NoiseModel,
-) -> complex:
-    """Estimate the complex LoS gain assuming the candidate steering vector.
-
-    Combines the block with family member N-1 (the first pilot slot) using
-    the unit-modulus candidate as the channel, then divides by the known
-    pilot.  Returns alpha_hat (conjugation already applied).
-    """
-    if pilot1 == 0:
-        raise ValueError("pilot symbol must be nonzero")
-    n = family.n
-    # unit-modulus candidate: the entrywise inverse conjugate is the vector itself
-    d = np.asarray(candidate) @ (family.member(n - 1).conj() @ block.y)
-    alpha_conj = d / (math.sqrt(noise.tx_power * n) * pilot1)
-    return complex(np.conj(alpha_conj))
-
-
-def score_candidate(
-    candidate: np.ndarray,
-    alpha_hat: complex,
-    block: ReceivedBlock,
-    family: PermutedDftFamily,
-    pilot2: complex,
-    noise: NoiseModel,
-    cap: float = SINR_CAP,
-) -> float:
-    """Spectral-efficiency score log2(1 + estimated SINR) of one candidate."""
-    n = family.n
-    p_hat = math.sqrt(noise.tx_power * n) * pilot2
-    if alpha_hat == 0:
-        return 0.0
-    d = (np.asarray(candidate) @ (family.member(n).conj() @ block.y)) / np.conj(alpha_hat)
-    resid = d - p_hat
-    if resid == 0:
-        return math.log2(1.0 + cap)
-    gamma = abs(p_hat) ** 2 / abs(resid) ** 2
-    return math.log2(1.0 + min(gamma, cap))
-
-
 def sweep_scores(
     ys: np.ndarray,
     family: PermutedDftFamily,
@@ -207,10 +159,10 @@ def sweep_scores(
     the (M, 2) pilot pairs.  Every block is combined with members N-1 and N
     in one batch of matrix-vector products; then, per subcarrier, one
     matrix product over the 2*C combined rows forms every candidate's pair
-    of inner products, and one elementwise pass scores them with the
-    formula of :func:`estimate_gain` and :func:`score_candidate`, rewritten
-    without the division by the gain:
-    gamma = |p_hat|^2 |alpha|^2 / |d_2 - p_hat alpha|^2.
+    of inner products d_1, d_2, and one elementwise pass scores them: the
+    gain estimate alpha^* = d_1 / p_1 and log2(1 + gamma), where
+    gamma = |p_2|^2 |alpha|^2 / |d_2 - p_2 alpha|^2 is the pilot-slot-N SINR
+    estimate without the division by the gain and p_j = sqrt(p_t*N) pilot j.
 
     With the ``codebook`` that built ``vectors``, only its D distinct sines
     are scored, one product per run of ``Codebook.sine_runs`` on a column

@@ -48,10 +48,8 @@ from .seeding import generator, seed_words
 from .transceiver import make_frame, receive, transmit
 
 __all__ = [
-    "KNOWN_METHODS",
     "PRESET_NAMES",
     "ExperimentConfig",
-    "TrialResult",
     "preset",
     "run_experiment",
     "write_csv",
@@ -194,6 +192,28 @@ class ExperimentConfig:
             )
         if k > n:
             raise ValueError(f"n_devices={k} exceeds n_antennas={n}")
+        # the linear powers a sweep point runs with, derived as _SweepContext does
+        sigma2 = _linear_power("sigma2_db", self.sigma2_db)
+        nlos_var = _linear_power("delta2_db", self.delta2_db)
+        if self.p_t_db is not None:
+            _linear_power("p_t_db", self.p_t_db)
+        else:
+            p_t = _linear_power("snr_db", self.snr_db) * sigma2 / (1.0 + self.n_nlos * nlos_var)
+            if not 0 < p_t < math.inf:
+                raise ValueError(f"snr_db={self.snr_db!r} gives a transmit power of {p_t!r}, "
+                                 "not a finite positive one")
+
+
+def _linear_power(name: str, db: float) -> float:
+    """``db_to_linear(db)``, or ValueError naming ``name`` if not finite and positive."""
+    try:
+        value = db_to_linear(db)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name}={db!r} dB is {value!r} in linear scale, "
+                         "not a finite positive power")
+    return value
 
 
 _SWEEPABLE = ("n_devices", "snr_db", "delta2_db", "p_t_db", "q_levels", "rho")
@@ -303,13 +323,6 @@ class _SweepContext:
         self.codebook = make_codebook(cfg.q_levels, 0.0, cfg.rho * math.pi)
         self.vectors = self.codebook.tables(self.geometry)  # (M, N, Q)
         self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
-
-    def _rng(self, *key: int) -> np.random.Generator:
-        """The generator of one spawn key, built on its own; ``run_trial``
-        derives the same streams for all of a trial's keys in one pass."""
-        return np.random.default_rng(
-            np.random.SeedSequence(self.config.seed, spawn_key=tuple(key))
-        )
 
     def run_trial(self, trial: int) -> list[TrialResult]:
         cfg = self.config

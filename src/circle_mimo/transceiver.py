@@ -15,15 +15,7 @@ import numpy as np
 from .channel import ChannelRealization, NoiseModel
 from .dftcore import PrecoderSet
 
-__all__ = [
-    "Frame",
-    "ReceivedBlock",
-    "QPSK_POINTS",
-    "make_frame",
-    "transmit",
-    "receive",
-    "detect_qpsk",
-]
+__all__ = ["make_frame", "transmit", "receive"]
 
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -134,11 +126,3 @@ def receive(
     y *= np.sqrt(noise.tx_power)
     y += z
     return ReceivedBlock(device=channel.device, subcarrier=m, y=y, noise_realization=z)
-
-
-def detect_qpsk(values: np.ndarray) -> np.ndarray:
-    """Map complex decisions to the nearest QPSK constellation point."""
-    values = np.asarray(values)
-    re = np.where(values.real >= 0, 1.0, -1.0)
-    im = np.where(values.imag >= 0, 1.0, -1.0)
-    return (re + 1j * im) / np.sqrt(2.0)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from circle_mimo import (
-    ArrayGeometry,
-    ChannelRealization,
-    array_response,
-    build_family,
-    build_precoders,
-)
+from circle_mimo.channel import ArrayGeometry, ChannelRealization, array_response
+from circle_mimo.dftcore import build_family, build_precoders
 
 
 @pytest.fixture(scope="session")

@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_mimo import (
-    ArrayGeometry,
-    ChannelProfile,
-    NoiseModel,
+from circle_mimo import baselines
+from circle_mimo.baselines import (
     SingularChannelError,
-    baselines,
-    csit_sum_se,
+    _desired_and_rest,
+    _solve_unit_ball,
+    csit_amplitude,
     mrt,
     per_device_csit_se,
-    sample_channel,
     wmmse,
     zf,
 )
-from circle_mimo.baselines import _desired_and_rest, _solve_unit_ball, csit_amplitude
+from circle_mimo.channel import ArrayGeometry, ChannelProfile, NoiseModel, sample_channel
 from circle_mimo.harness import _SweepContext, preset, run_experiment
+from oracle import key_rng
 
 GEOM = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9)
 NOISE = NoiseModel(variance=0.1, tx_power=1.0)
@@ -101,18 +100,25 @@ class TestZf:
         base = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         h = np.stack([base, base + 1e-3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))])
         geom = GEOM
-        se_zf = csit_sum_se([zf(h)], h[:, None, :], NOISE, geom)
-        se_mrt = csit_sum_se([mrt(h)], h[:, None, :], NOISE, geom)
+        se_zf = np.sum(per_device_csit_se([zf(h)], h[:, None, :], NOISE, geom))
+        se_mrt = np.sum(per_device_csit_se([mrt(h)], h[:, None, :], NOISE, geom))
         assert se_zf < se_mrt
 
     def test_overloaded_rejected(self):
         with pytest.raises(SingularChannelError):
             zf(draw_channels(9, 8, seed=8))
 
-    def test_rank_deficient_rejected(self):
+    def test_rank_deficient_gets_finite_beams(self):
+        # every device on one channel: the pseudo-inverse's beams, not an error
         h = np.ones((3, 8), dtype=complex)
+        pre = zf(h)
+        assert np.isfinite(pre.vectors).all()
+        np.testing.assert_allclose(np.linalg.norm(pre.vectors, axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(per_device_csit_se([pre], h[:, None, :], NOISE, GEOM)).all()
+
+    def test_zero_channel_rejected(self):
         with pytest.raises(SingularChannelError):
-            zf(h)
+            zf(np.zeros((2, 4), dtype=complex))
 
 
 class TestWmmse:
@@ -152,9 +158,9 @@ class TestWmmse:
         for t in range(200):
             h = draw_channels(8, 10, seed=1000 + t)
             chans = h[:, None, :]
-            totals["wmmse"] += csit_sum_se([wmmse(h, NOISE)], chans, NOISE, geom)
-            totals["zf"] += csit_sum_se([zf(h)], chans, NOISE, geom)
-            totals["mrt"] += csit_sum_se([mrt(h)], chans, NOISE, geom)
+            totals["wmmse"] += np.sum(per_device_csit_se([wmmse(h, NOISE)], chans, NOISE, geom))
+            totals["zf"] += np.sum(per_device_csit_se([zf(h)], chans, NOISE, geom))
+            totals["mrt"] += np.sum(per_device_csit_se([mrt(h)], chans, NOISE, geom))
         assert totals["wmmse"] >= totals["zf"]
         assert totals["wmmse"] >= totals["mrt"]
 
@@ -179,8 +185,8 @@ class TestWmmse:
         tw = tz = 0.0
         for t in range(200):
             h = draw_channels(8, 32, seed=5000 + t)
-            tw += csit_sum_se([wmmse(h, NOISE)], h[:, None, :], NOISE, geom)
-            tz += csit_sum_se([zf(h)], h[:, None, :], NOISE, geom)
+            tw += np.sum(per_device_csit_se([wmmse(h, NOISE)], h[:, None, :], NOISE, geom))
+            tz += np.sum(per_device_csit_se([zf(h)], h[:, None, :], NOISE, geom))
         assert tw >= tz
 
 
@@ -313,7 +319,7 @@ class TestCsitSumSe:
     def test_noise_dominated_limit(self):
         h = draw_channels(3, 8, seed=16)
         heavy = NoiseModel(variance=1e12, tx_power=1.0)
-        assert csit_sum_se([mrt(h)], h[:, None, :], heavy, GEOM) < 1e-6
+        assert np.sum(per_device_csit_se([mrt(h)], h[:, None, :], heavy, GEOM)) < 1e-6
 
     def test_equal_antennas_and_devices_drops_factor(self):
         assert csit_amplitude(8, 8, NoiseModel(variance=0.1, tx_power=2.0)) == pytest.approx(
@@ -340,7 +346,7 @@ class TestCsitSumSe:
             ]
         )
         pres = [mrt(chans[:, m0, :]) for m0 in range(2)]
-        total = csit_sum_se(pres, chans, NOISE, geom)
+        total = np.sum(per_device_csit_se(pres, chans, NOISE, geom))
         # recompute without the helper, per subcarrier, then apply 1/(M+Lcp)
         manual = 0.0
         amp = csit_amplitude(8, 3, NOISE)
@@ -363,7 +369,8 @@ class TestCsitSumSe:
         )
         ctx = _SweepContext(cfg, None)
         h = np.stack([
-            sample_channel(ctx.geometry, k, ctx._rng(0, k), ctx.profile).h for k in range(1, 31)
+            sample_channel(ctx.geometry, k, key_rng(cfg.seed, 0, k), ctx.profile).h
+            for k in range(1, 31)
         ])
         amp = csit_amplitude(32, 30, ctx.noise)
         for pre in (zf(h[:, 0]), wmmse(h[:, 0], ctx.noise)):

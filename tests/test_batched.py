@@ -1,9 +1,10 @@
 """The batched trial kernels against the scalar formulas they replace.
 
 The codebook sweep, the achieved spectral efficiency and the channel
-synthesis each run as one array pass; the scalar functions
-(``estimate_gain``, ``score_candidate``, ``achieved_sinr``,
-``array_response``) stay as the reference each pass must reproduce.
+synthesis each run as one array pass; the scalar formulas of
+``tests/oracle.py`` (``estimate_gain``, ``score_candidate``,
+``achieved_sinr``) and ``channel.array_response`` are the reference each
+pass must reproduce.
 """
 
 import math
@@ -15,35 +16,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_mimo import (
-    SINR_CAP,
+from circle_mimo.channel import (
     ArrayGeometry,
     ChannelProfile,
-    DegenerateChannelError,
     NoiseModel,
-    PermutedDftFamily,
-    ReceivedBlock,
-    achieved_sinr,
     array_response,
+    sample_channel,
+)
+from circle_mimo.dftcore import (
+    PermutedDftFamily,
     build_family,
     build_precoders,
-    estimate_gain,
-    make_codebook,
-    make_frame,
-    narrowband_search,
     pairwise_diagonals,
-    per_device_achieved_se,
-    preset,
-    receive,
-    run_experiment,
-    sample_channel,
-    score_candidate,
-    sweep_scores,
-    transmit,
-    wideband_search,
-    write_csv,
 )
+from circle_mimo.estimation import (
+    make_codebook,
+    narrowband_search,
+    sweep_scores,
+    wideband_search,
+)
+from circle_mimo.harness import preset, run_experiment, write_csv
+from circle_mimo.receiver import SINR_CAP, DegenerateChannelError, per_device_achieved_se
+from circle_mimo.transceiver import ReceivedBlock, make_frame, receive, transmit
 from conftest import los_channel
+from oracle import achieved_sinr, estimate_gain, score_candidate, se_bits
 
 N = 8
 FAM = build_family(N)
@@ -96,8 +92,8 @@ class TestSweepScores:
         for m0 in range(mm):
             for q0 in range(CB.q_levels):
                 cand = vectors[m0][:, q0]
-                alpha = estimate_gain(cand, blocks[m0], FAM, pilots[m0, 0], noise)
-                score = score_candidate(cand, alpha, blocks[m0], FAM, pilots[m0, 1], noise, cap)
+                alpha = estimate_gain(cand, blocks[m0].y, FAM, pilots[m0, 0], noise)
+                score = score_candidate(cand, alpha, blocks[m0].y, FAM, pilots[m0, 1], noise, cap)
                 assert close(alpha_conj[m0, q0], np.conj(alpha))
                 assert close(scores[m0, q0], score)
         assert alpha_conj[0, 3] == 0 and scores[0, 3] == 0.0
@@ -118,10 +114,9 @@ class TestSweepScores:
         scores, _ = sweep_scores(ys, fam, vectors, pilots, noise, 1e8)
         assert scores[0, 0] == scores[0, 2] == math.log2(1.0 + 1e8)
         assert np.all(scores[1] == 0.0)
-        block = ReceivedBlock(device=1, subcarrier=1, y=ys[0], noise_realization=np.zeros(N))
         for q0 in range(3):
-            alpha = estimate_gain(vectors[0][:, q0], block, fam, 1.0, noise)
-            want = score_candidate(vectors[0][:, q0], alpha, block, fam, 1.0, noise, 1e8)
+            alpha = estimate_gain(vectors[0][:, q0], ys[0], fam, 1.0, noise)
+            want = score_candidate(vectors[0][:, q0], alpha, ys[0], fam, 1.0, noise, 1e8)
             assert close(scores[0, q0], want)
 
     def test_a_nan_block_scores_zero(self):
@@ -192,7 +187,7 @@ class TestAchievedSe:
             k_dev, mm, _ = h_true.shape
             for k0 in range(k_dev):
                 want = sum(
-                    achieved_sinr(hh[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise, DIAGS, cap).se_bits
+                    se_bits(achieved_sinr(hh[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise), cap)
                     for m0 in range(mm)
                 ) / (mm + geom.cp_len)
                 assert close(got[k0], want)
@@ -203,7 +198,7 @@ class TestAchievedSe:
         got = per_device_achieved_se(h_true, h_true, FAM, noise, geom, DIAGS, 1e6)
         for k0 in range(h_true.shape[0]):
             want = sum(
-                achieved_sinr(h_true[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise, DIAGS, 1e6).se_bits
+                se_bits(achieved_sinr(h_true[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise), 1e6)
                 for m0 in range(h_true.shape[1])
             ) / (h_true.shape[1] + geom.cp_len)
             assert close(got[k0], want)
@@ -304,8 +299,8 @@ class TestFoldedSweep:
                     col = cb.sine_column[q0]
                     cand = vectors[m0][:, q0]
                     block = blocks[k0][m0]
-                    alpha = estimate_gain(cand, block, FAM, pilots[m0, 0], noise)
-                    score = score_candidate(cand, alpha, block, FAM, pilots[m0, 1], noise)
+                    alpha = estimate_gain(cand, block.y, FAM, pilots[m0, 0], noise)
+                    score = score_candidate(cand, alpha, block.y, FAM, pilots[m0, 1], noise)
                     assert close(alpha_conj[k0, m0, col], np.conj(alpha))
                     assert close(scores[k0, m0, col], score)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circle_mimo import (
+from circle_mimo.channel import (
     ArrayGeometry,
     ChannelProfile,
     NoiseModel,

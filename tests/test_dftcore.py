@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circle_mimo import (
-    build_circulant_index,
-    build_dft,
-    build_family,
-    build_precoders,
-    pairwise_diagonals,
-    pairwise_product,
-)
+from circle_mimo.dftcore import build_dft, build_family, build_precoders, pairwise_diagonals
+from oracle import circulant_index, pairwise_product
 
 
 def dft_oracle(n):
@@ -27,56 +21,56 @@ def dft_oracle(n):
 
 class TestCirculantIndex:
     def test_single_element(self):
-        assert build_circulant_index(1).entries.tolist() == [[1]]
+        assert circulant_index(1).tolist() == [[1]]
 
     def test_four_by_four_pattern(self):
         expected = [[1, 4, 3, 2], [2, 1, 4, 3], [3, 2, 1, 4], [4, 3, 2, 1]]
-        assert build_circulant_index(4).entries.tolist() == expected
+        assert circulant_index(4).tolist() == expected
 
     def test_modular_entry(self):
-        # ((2 - 3) mod 3) + 1 = 3
-        assert build_circulant_index(3).entry(2, 3) == 3
+        # row 2, column 3: ((2 - 3) mod 3) + 1 = 3
+        assert circulant_index(3)[1, 2] == 3
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            build_circulant_index(0)
+            circulant_index(0)
 
     @given(st.integers(min_value=1, max_value=48))
     @settings(deadline=None)
     def test_rows_and_columns_are_permutations(self, n):
-        entries = build_circulant_index(n).entries
+        entries = circulant_index(n)
         want = list(range(1, n + 1))
         for i in range(n):
             assert sorted(entries[i, :].tolist()) == want
             assert sorted(entries[:, i].tolist()) == want
 
     def test_columnwise_circulant_shift(self):
-        ci = build_circulant_index(7)
-        assert ci.entry(1, 1) == 1
-        for i in range(1, 7):
-            for k in range(1, 8):
-                assert ci.entry(i + 1, k) == ci.entry(i, k) % 7 + 1
+        ci = circulant_index(7)
+        assert ci[0, 0] == 1
+        for i in range(6):
+            for k in range(7):
+                assert ci[i + 1, k] == ci[i, k] % 7 + 1
 
 
 class TestDftMatrix:
     def test_single_element(self):
-        assert build_dft(1).u.tolist() == [[1.0 + 0.0j]]
+        assert build_dft(1).tolist() == [[1.0 + 0.0j]]
 
     def test_two_by_two(self):
         expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
-        np.testing.assert_allclose(build_dft(2).u, expected, atol=1e-15)
+        np.testing.assert_allclose(build_dft(2), expected, atol=1e-15)
 
     def test_four_by_four_entry(self):
         # row 2, col 2 (1-based): exp(-i*pi/2)/2 = -i/2
-        assert abs(build_dft(4).u[1, 1] - (-0.5j)) < 1e-15
+        assert abs(build_dft(4)[1, 1] - (-0.5j)) < 1e-15
 
     def test_matches_scalar_oracle(self):
         for n in (2, 3, 5, 8):
-            np.testing.assert_allclose(build_dft(n).u, dft_oracle(n), atol=1e-12)
+            np.testing.assert_allclose(build_dft(n), dft_oracle(n), atol=1e-12)
 
     def test_unitary(self):
         for n in (2, 3, 4, 8, 16, 64):
-            u = build_dft(n).u
+            u = build_dft(n)
             err = np.linalg.norm(u @ u.conj().T - np.eye(n))
             assert err < 1e-12 * n
 
@@ -93,12 +87,12 @@ class TestDftMatrix:
 class TestFamily:
     def test_first_member_is_identity_permutation(self):
         fam = build_family(6)
-        np.testing.assert_array_equal(fam.member(1), build_dft(6).u)
+        np.testing.assert_array_equal(fam.member(1), build_dft(6))
 
     def test_three_by_three_second_member_order(self):
         # column order (3, 1, 2) of the base matrix
         fam = build_family(3)
-        u = build_dft(3).u
+        u = build_dft(3)
         np.testing.assert_array_equal(fam.member(2), u[:, [2, 0, 1]])
 
     def test_members_unitary(self):
@@ -167,7 +161,7 @@ class TestPrecoders:
         # slot 1, column 3 is base column index((1,3)) = 3
         fam = build_family(4)
         pre = build_precoders(fam)
-        u = build_dft(4).u
+        u = build_dft(4)
         np.testing.assert_array_equal(pre.slot(1)[:, 2], u[:, 2])
 
     def test_reassembly_is_bit_exact(self):
@@ -210,8 +204,8 @@ def einsum_diagonals_oracle(members):
 
 def gathered_family_oracle(n):
     """Members by one fancy-index gather through the circulant index, then a transpose."""
-    u = build_dft(n).u
-    index = build_circulant_index(n).zero_based
+    u = build_dft(n)
+    index = circulant_index(n) - 1
     return np.ascontiguousarray(np.transpose(u[:, index], (2, 0, 1)))
 
 

@@ -3,25 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from circle_mimo import (
-    ArrayGeometry,
-    NoiseModel,
-    achieved_sinr,
-    array_response,
-    build_family,
-    build_precoders,
+from circle_mimo.channel import ArrayGeometry, ChannelRealization, NoiseModel, array_response
+from circle_mimo.dftcore import build_family, build_precoders
+from circle_mimo.estimation import (
     complexity_psi,
-    estimate_gain,
     make_codebook,
-    make_frame,
     narrowband_search,
-    receive,
-    score_candidate,
     sweep_scores,
-    transmit,
     wideband_search,
 )
+from circle_mimo.transceiver import make_frame, receive, transmit
 from conftest import los_channel
+from oracle import achieved_sinr, estimate_gain, score_candidate, se_bits
 
 GEOM = ArrayGeometry(n_antennas=16, carrier_freq_hz=100e9)
 NOISELESS = NoiseModel(variance=0.0, tx_power=1.0)
@@ -187,7 +180,7 @@ class TestEstimateGain:
         theta = CB.angles[40]
         ch = los_channel(GEOM, alpha, theta)
         frame, block = one_block(ch, rng)
-        got = estimate_gain(array_response(GEOM, theta), block, FAM, frame.pilot1, NOISELESS)
+        got = estimate_gain(array_response(GEOM, theta), block.y, FAM, frame.pilot1, NOISELESS)
         assert abs(got - alpha) < 1e-9 * abs(alpha)
 
     def test_linearity_in_channel_scale(self):
@@ -199,7 +192,7 @@ class TestEstimateGain:
         for c in (1.0, 2.0, -1.5j):
             ch = los_channel(GEOM, c * (0.4 + 0.1j), theta)
             block = receive(ch, xs, NOISELESS, rng)
-            got = estimate_gain(cand, block, FAM, frame.pilot1, NOISELESS)
+            got = estimate_gain(cand, block.y, FAM, frame.pilot1, NOISELESS)
             assert abs(got - c * (0.4 + 0.1j)) < 1e-9
 
     def test_zero_pilot_rejected(self):
@@ -207,7 +200,7 @@ class TestEstimateGain:
         ch = los_channel(GEOM, 1.0, 0.3)
         _, block = one_block(ch, rng)
         with pytest.raises(ValueError):
-            estimate_gain(array_response(GEOM, 0.3), block, FAM, 0.0, NOISELESS)
+            estimate_gain(array_response(GEOM, 0.3), block.y, FAM, 0.0, NOISELESS)
 
 
 class TestScoreCandidate:
@@ -217,7 +210,7 @@ class TestScoreCandidate:
         ch = los_channel(GEOM, alpha, theta)
         frame, block = one_block(ch, rng)
         cand = array_response(GEOM, theta)
-        score = score_candidate(cand, alpha, block, FAM, frame.pilot2, NOISELESS, cap=1e30)
+        score = score_candidate(cand, alpha, block.y, FAM, frame.pilot2, NOISELESS, cap=1e30)
         # residual is numerically tiny, so the score is at or near the cap
         assert score > 40.0
 
@@ -228,10 +221,10 @@ class TestScoreCandidate:
         frame, block = one_block(ch, rng)
         good = array_response(GEOM, theta)
         bad = array_response(GEOM, CB.angles[200])
-        alpha_good = estimate_gain(good, block, FAM, frame.pilot1, NOISELESS)
-        alpha_bad = estimate_gain(bad, block, FAM, frame.pilot1, NOISELESS)
-        s_good = score_candidate(good, alpha_good, block, FAM, frame.pilot2, NOISELESS)
-        s_bad = score_candidate(bad, alpha_bad, block, FAM, frame.pilot2, NOISELESS)
+        alpha_good = estimate_gain(good, block.y, FAM, frame.pilot1, NOISELESS)
+        alpha_bad = estimate_gain(bad, block.y, FAM, frame.pilot1, NOISELESS)
+        s_good = score_candidate(good, alpha_good, block.y, FAM, frame.pilot2, NOISELESS)
+        s_bad = score_candidate(bad, alpha_bad, block.y, FAM, frame.pilot2, NOISELESS)
         assert s_good > s_bad
 
     def test_finite_positive_under_noise(self):
@@ -241,8 +234,8 @@ class TestScoreCandidate:
         frame, block = one_block(ch, rng, noise=noise)
         for q in (1, 50, 150, 255):
             cand = array_response(GEOM, CB.angles[q])
-            alpha = estimate_gain(cand, block, FAM, frame.pilot1, noise)
-            s = score_candidate(cand, alpha, block, FAM, frame.pilot2, noise)
+            alpha = estimate_gain(cand, block.y, FAM, frame.pilot1, noise)
+            s = score_candidate(cand, alpha, block.y, FAM, frame.pilot2, noise)
             assert np.isfinite(s) and s >= 0.0
 
     def test_zero_gain_guess_scores_zero(self):
@@ -250,7 +243,7 @@ class TestScoreCandidate:
         ch = los_channel(GEOM, 1.0, 0.2)
         frame, block = one_block(ch, rng)
         cand = array_response(GEOM, 0.2)
-        assert score_candidate(cand, 0.0, block, FAM, frame.pilot2, NOISELESS) == 0.0
+        assert score_candidate(cand, 0.0, block.y, FAM, frame.pilot2, NOISELESS) == 0.0
 
 
 class TestNarrowbandSearch:
@@ -313,8 +306,6 @@ class TestWidebandSearch:
     def wide_blocks(self, theta, rng, noise=NOISELESS):
         gains = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2)
         h = np.stack([gains[m0] * array_response(self.WGEOM, theta, m0 + 1) for m0 in range(4)])
-        from circle_mimo import ChannelRealization
-
         ch = ChannelRealization(1, gains, theta, np.zeros((4, 0), complex), np.zeros(0), h)
         frames = [make_frame(16, "gaussian", rng) for _ in range(4)]
         blocks = [receive(ch, transmit(PRE, frames[m0]), noise, rng, m0 + 1) for m0 in range(4)]
@@ -360,9 +351,9 @@ class TestWidebandSearch:
         total = 0.0
         for m0 in range(4):
             v = CB.vectors(self.WGEOM, m0 + 1)
-            alpha = estimate_gain(v[:, res.q_star - 1], blocks[m0], FAM, pilots[m0][0], noise)
+            alpha = estimate_gain(v[:, res.q_star - 1], blocks[m0].y, FAM, pilots[m0][0], noise)
             total += score_candidate(
-                v[:, res.q_star - 1], alpha, blocks[m0], FAM, pilots[m0][1], noise
+                v[:, res.q_star - 1], alpha, blocks[m0].y, FAM, pilots[m0][1], noise
             )
         assert res.score == pytest.approx(total / (4 + 2), rel=1e-9)
         del per_m
@@ -379,7 +370,7 @@ class TestWidebandSearch:
             pilots = [(f.pilot1, f.pilot2) for f in frames]
             joint = wideband_search(blocks, FAM, CB, self.WGEOM, pilots, noise)
             joint_se = sum(
-                achieved_sinr(joint.h_hat[m0], ch.h[m0], FAM, 1, noise).se_bits
+                se_bits(achieved_sinr(joint.h_hat[m0], ch.h[m0], FAM, 1, noise))
                 for m0 in range(4)
             )
             sep_se = 0.0
@@ -387,7 +378,7 @@ class TestWidebandSearch:
                 v = CB.vectors(self.WGEOM, m0 + 1)
                 sep = narrowband_search(blocks[m0], FAM, CB, self.WGEOM, pilots[m0], noise,
                                         vectors=v)
-                sep_se += achieved_sinr(sep.h_hat[0], ch.h[m0], FAM, 1, noise).se_bits
+                sep_se += se_bits(achieved_sinr(sep.h_hat[0], ch.h[m0], FAM, 1, noise))
             diffs += joint_se - sep_se
         assert diffs / trials > 0.0
 
@@ -438,7 +429,7 @@ class TestGainGuessInvariance:
                 scores = [
                     achieved_sinr(
                         guess * array_response(GEOM, ang), h, FAM, 2, noise
-                    ).sinr
+                    )
                     for ang in cb.angles
                 ]
                 argmaxes.append(int(np.argmax(scores)))
@@ -460,8 +451,8 @@ class TestMonotoneRefinement:
             pilots = (frame.pilot1, frame.pilot2)
             res_small = narrowband_search(block, FAM, cb_small, GEOM, pilots, NOISELESS)
             res_big = narrowband_search(block, FAM, cb_big, GEOM, pilots, NOISELESS)
-            se_small = achieved_sinr(res_small.h_hat[0], ch.h[0], FAM, 1, NOISELESS).se_bits
-            se_big = achieved_sinr(res_big.h_hat[0], ch.h[0], FAM, 1, NOISELESS).se_bits
+            se_small = se_bits(achieved_sinr(res_small.h_hat[0], ch.h[0], FAM, 1, NOISELESS))
+            se_big = se_bits(achieved_sinr(res_big.h_hat[0], ch.h[0], FAM, 1, NOISELESS))
             assert se_big >= se_small - 1e-9
 
 

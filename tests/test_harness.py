@@ -7,10 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circle_mimo import (
+from circle_mimo.baselines import WMMSE_MAX_ITERS
+from circle_mimo.cli import main as cli_main
+from circle_mimo.harness import (
+    KNOWN_METHODS,
     ExperimentConfig,
     load_config_file,
     preset,
@@ -18,9 +21,6 @@ from circle_mimo import (
     summarize,
     write_csv,
 )
-from circle_mimo.baselines import WMMSE_MAX_ITERS
-from circle_mimo.cli import main as cli_main
-from circle_mimo.harness import KNOWN_METHODS
 
 
 def quick_config(**overrides):
@@ -153,6 +153,17 @@ class TestConfigValidation:
             st.lists(st.integers(1, 6), min_size=1, max_size=2),
         ),
     )
+    # N = 8 at 250 GHz bandwidth: the stacked channel of subcarrier 1, at
+    # 17 GHz, has condition number 7e14, and ZF once raised mid-run on it
+    @example(
+        fields={
+            "n_devices": 1, "n_antennas": None, "n_nlos": 0, "rho": 0.015625, "q_levels": 1,
+            "n_subcarriers": 3, "cp_len": 0, "bandwidth_hz": 250e9, "snr_db": 0.0,
+            "delta2_db": 0.0, "csir": "genie", "symbol_source": "gaussian",
+            "methods": ("circle", "r-circle", "bound", "mrt", "zf"), "seed": 36,
+        },
+        sweep=("n_devices", [6]),
+    )
     def test_every_accepted_config_completes_its_trials(self, fields, sweep):
         cfg = ExperimentConfig(n_trials=1, **fields)
         if sweep is not None:
@@ -170,6 +181,25 @@ class TestConfigValidation:
         bad = quick_config(n_trials=0)
         with pytest.raises(ValueError):
             next(iter(run_experiment(bad)))
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("snr_db", {"snr_db": 4000.0}),
+        ("delta2_db", {"delta2_db": 4000.0}),
+        ("delta2_db", {"delta2_db": -4000.0}),
+        ("sigma2_db", {"sigma2_db": -4000.0}),
+        ("sigma2_db", {"sigma2_db": 4000.0}),
+        ("p_t_db", {"snr_db": None, "p_t_db": -4000.0}),
+        ("p_t_db", {"snr_db": None, "p_t_db": 4000.0}),
+        ("snr_db", {"snr_db": 300.0, "sigma2_db": 3000.0}),  # p_t = 1e30 * 1e300
+    ])
+    def test_db_powers_must_be_finite_and_positive(self, field, overrides):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            quick_config(**overrides).validate()
+
+    def test_db_power_of_a_sweep_point_rejected_before_the_first_trial(self):
+        cfg = quick_config(sweep_param="snr_db", sweep_values=(10.0, 4000.0))
+        with pytest.raises(ValueError, match="sweep point snr_db=4000.0: snr_db=4000.0 dB"):
+            next(iter(run_experiment(cfg)))
 
 
 class TestPresets:
@@ -513,6 +543,19 @@ class TestConfigFileValues:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}:3: {key}:")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "snr_db = 4000", "delta2_db = 4000", "sigma2_db = -4000", "snr_db = none\np_t_db = -4000",
+    ])
+    def test_cli_exits_1_on_a_db_power_out_of_range(self, tmp_path, capsys, line):
+        path, _ = self.write(tmp_path, line)
+        key = line.split("\n")[-1].split("=")[0].strip()
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key}=")
         assert captured.out == "" and not out.exists()
 
     def test_unparsable_number_names_file_line_and_key(self, tmp_path):
