@@ -1,4 +1,4 @@
-"""mmWave channel model: ULA steering vectors, LoS + NLoS fading, noise/SNR.
+"""mmWave channel model: ULA steering vectors, LoS + NLoS fading, noise.
 
 The base station carries a half-wavelength-spaced uniform linear array.
 A device channel is one line-of-sight path plus a configurable number of
@@ -194,21 +194,6 @@ def sample_channel(
         nlos_aods=nlos_aods,
         h=h,
     )
-
-
-def snr_db(noise: NoiseModel, h: np.ndarray) -> float:
-    """Received SNR in dB for the deterministic-precoder transmission.
-
-    With a unitary slot precoder and unit-variance symbols the expected
-    received signal power is p_t*||h||^2/N, so the SNR is
-    10*log10(p_t*||h||^2 / (N*sigma^2)).
-    """
-    if noise.variance == 0:
-        raise ValueError("SNR is undefined for zero noise variance")
-    h = np.asarray(h)
-    n = h.shape[-1]
-    power = noise.tx_power * float(np.sum(np.abs(h) ** 2)) / n
-    return 10.0 * math.log10(power / noise.variance)
 
 
 def _complex_normal(rng: np.random.Generator, var: float, shape) -> np.ndarray:

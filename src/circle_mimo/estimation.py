@@ -41,73 +41,55 @@ class Codebook:
     keep Q fixed over the smaller span (finer effective resolution).
 
     A ULA sees an angle only through its sine, and an angle and its mirror
-    pi - theta (mod 2*pi) share it.  ``first_same_sine[q0]`` is the lowest
-    0-based grid index whose sine equals angle q0's to within 1e-12, so the
-    searches can break such ties exactly; on a grid inside [0, pi/2) it is
-    the identity.  The indices that are their own ``first_same_sine`` hold
-    each distinct sine once: ``distinct`` lists them in ascending order,
-    ``sine_runs`` as contiguous 0-based [start, stop) runs, and
-    ``sine_column[q0]`` is the position of angle q0's sine in ``distinct``,
-    so ``distinct[sine_column] == first_same_sine``.  On the rho = 2 grid
-    [0, 2*pi) the runs are [0, Q/4] and (Q/2, 3Q/4], 257 sines at Q = 512.
+    pi - theta (mod 2*pi) share it.  ``distinct`` lists, in ascending order,
+    the lowest 0-based grid index of each sine (sines within 1e-12 are one),
+    D of them: the candidate tables, the sweep and the searches all work on
+    these D columns, and a search maps its winning column j to the grid
+    index ``distinct[j]`` only at the end.  On a grid inside [0, pi/2) every
+    index is its own sine (D = Q); on the rho = 2 grid [0, 2*pi) the
+    distinct sines are [0, Q/4] and (Q/2, 3Q/4], 257 of Q = 512.
     """
 
     q_levels: int
     range_start: float
     range_span: float
     angles: np.ndarray  # (Q,)
-    first_same_sine: np.ndarray = field(init=False, repr=False, compare=False)
     distinct: np.ndarray = field(init=False, repr=False, compare=False)
-    sine_runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    sine_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sines = np.sin(self.angles)
         order = np.argsort(sines, kind="stable")
-        # runs of sorted sines closer than the tolerance form one group
-        new_group = np.diff(sines[order], prepend=-np.inf) > _SAME_SINE_TOL
-        group = np.cumsum(new_group) - 1
-        first = np.empty_like(order)
-        first[order] = np.minimum.reduceat(order, np.flatnonzero(new_group))[group]
-        distinct = first == np.arange(self.q_levels)
-        # index 0 opens a run; the edges where distinct flips then alternate
-        # between closing and opening one, and Q closes the last if open
-        flips = np.flatnonzero(distinct[1:] != distinct[:-1]) + 1
-        edges = [0, *flips.tolist(), self.q_levels]
-        object.__setattr__(self, "first_same_sine", first)
-        object.__setattr__(self, "distinct", np.flatnonzero(distinct))
-        object.__setattr__(self, "sine_runs", tuple(zip(edges[::2], edges[1::2])))
-        object.__setattr__(self, "sine_column", (np.cumsum(distinct) - 1)[first])
+        # runs of sorted sines closer than the tolerance form one group,
+        # represented by its lowest grid index
+        starts = np.flatnonzero(np.diff(sines[order], prepend=-np.inf) > _SAME_SINE_TOL)
+        object.__setattr__(self, "distinct", np.sort(np.minimum.reduceat(order, starts)))
 
     def tables(self, geometry: ArrayGeometry, subcarriers=None) -> np.ndarray:
-        """Candidate steering vectors on each of ``subcarriers``, shape (len, N, Q).
+        """Candidate steering vectors on each of ``subcarriers``, shape (len, N, D).
 
-        ``subcarriers`` lists 1-based indices and defaults to all M.  Entry
-        (p, q) on subcarrier m is z**p for the unit phasor
-        z = exp(i*pi*(f_m/f_c)*sin(theta_q)): rows 0 and 1 are exactly 1 and
-        z, and rows [k, 2k) are rows [0, k) times z**k, so a table takes one
-        exp per (subcarrier, candidate) and one multiply per entry.  Against
-        an extended-precision reference the powers are at least as close as
-        a direct exp per entry at N >= 32 (1.5e-13 against 2.4e-13 at
-        N = 514).
+        ``subcarriers`` lists 1-based indices and defaults to all M.  Column
+        j is the steering vector of ``angles[distinct[j]]``: entry (p, j) on
+        subcarrier m is z**p for the unit phasor
+        z = exp(i*pi*(f_m/f_c)*sin(theta)), theta = angles[distinct[j]].
+        Rows 0 and 1 are exactly 1 and z, and rows [k, 2k) are rows [0, k)
+        times z**k, so a table takes one exp per (subcarrier, distinct sine)
+        and one multiply per entry.  Against an extended-precision reference
+        the powers are at least as close as a direct exp per entry at
+        N >= 32 (1.5e-13 against 2.4e-13 at N = 514).
         """
         if subcarriers is None:
             subcarriers = range(1, geometry.n_subcarriers + 1)
         freqs = np.array([geometry.subcarrier_freq_hz(m) for m in subcarriers])
         ratios = freqs[:, None] / geometry.carrier_freq_hz
-        z = np.exp(1j * np.pi * ratios * np.sin(self.angles))  # (len, Q)
+        z = np.exp(1j * np.pi * ratios * np.sin(self.angles)[self.distinct])  # (len, D)
         n = geometry.n_antennas
-        out = np.empty((len(z), n, self.q_levels), dtype=complex)
+        out = np.empty((len(z), n, self.distinct.size), dtype=complex)
         out[:, :1] = 1.0
         k, z_k = 1, z
         while k < n:
             np.multiply(out[:, : min(k, n - k)], z_k[:, None], out=out[:, k : 2 * k])
             k, z_k = 2 * k, z_k * z_k
         return out
-
-    def vectors(self, geometry: ArrayGeometry, m: int = 1) -> np.ndarray:
-        """Candidate steering vectors on subcarrier m, shape (N, Q)."""
-        return self.tables(geometry, (m,))[0]
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,6 @@ class EstimationResult:
     alpha_hat: np.ndarray     # (M,) complex gain per subcarrier
     h_hat: np.ndarray         # (M, N) estimated channel per subcarrier
     score: float              # value of the maximized objective
-    multiply_count: int
 
 
 def make_codebook(
@@ -148,13 +129,12 @@ def sweep_scores(
     pilots: np.ndarray,
     noise: NoiseModel,
     cap: float = SINR_CAP,
-    codebook: Codebook | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Codebook sweep over all subcarriers of one device or of a few at once.
 
     ``ys`` holds one device's received blocks, (M, N), or those of C
-    devices that share the pilots, (C, M, N); ``vectors[m0]`` the (N, Q)
-    candidate steering vectors of subcarrier m0+1, as an (M, N, Q) array
+    devices that share the pilots, (C, M, N); ``vectors[m0]`` the (N, D)
+    candidate steering vectors of subcarrier m0+1, as an (M, N, D) array
     (:meth:`Codebook.tables`) or a list, which each call stacks; ``pilots``
     the (M, 2) pilot pairs.  Every block is combined with members N-1 and N
     in one batch of matrix-vector products; then, per subcarrier, one
@@ -164,13 +144,10 @@ def sweep_scores(
     gamma = |p_2|^2 |alpha|^2 / |d_2 - p_2 alpha|^2 is the pilot-slot-N SINR
     estimate without the division by the gain and p_j = sqrt(p_t*N) pilot j.
 
-    With the ``codebook`` that built ``vectors``, only its D distinct sines
-    are scored, one product per run of ``Codebook.sine_runs`` on a column
-    view of the table; without one, every candidate is its own sine
-    (D = Q).  Returns ``(scores, alpha_conj)``, each (M, D) or (C, M, D) as
-    ``ys``, with one column per distinct sine: column j holds grid index
-    ``codebook.distinct[j]``, and grid index q0 reads column
-    ``codebook.sine_column[q0]``.
+    Every column of ``vectors`` is scored; the tables of a codebook hold
+    one column per distinct sine.  Returns ``(scores, alpha_conj)``, each
+    (M, D) or (C, M, D) as ``ys``, with one column per column of
+    ``vectors``.
     """
     ys = np.asarray(ys)
     vectors = np.asarray(vectors)
@@ -181,22 +158,14 @@ def sweep_scores(
     c, mm, n = ys.shape
     if np.any(pilots == 0):
         raise ValueError("pilot symbols must be nonzero")
-    if codebook is not None and codebook.q_levels != vectors.shape[2]:
-        raise ValueError("vectors must be tables of the codebook's Q candidates")
     scale = math.sqrt(noise.tx_power * n)
-    runs = codebook.sine_runs if codebook is not None else ((0, vectors.shape[2]),)
 
     # combined[k0, m0, j] = member(N-1+j)^* @ ys[k0, m0], one matrix-vector
     # product per block, regrouped as 2*C rows (device, member) per subcarrier
     combiners = family.members[n - 2 :].conj().reshape(2 * n, n)
     combined = np.matmul(combiners, ys[..., None]).reshape(c, mm, 2, n)
     rows = combined.transpose(1, 0, 2, 3).reshape(mm, 2 * c, n)
-    d = np.empty((mm, 2 * c, sum(stop - start for start, stop in runs)), dtype=complex)
-    col = 0
-    for start, stop in runs:
-        np.matmul(rows, vectors[:, :, start:stop], out=d[:, :, col : col + stop - start])
-        col += stop - start
-    d = d.reshape(mm, c, 2, -1)
+    d = np.matmul(rows, vectors).reshape(mm, c, 2, -1)
 
     alpha_conj = d[:, :, 0] * (1.0 / (scale * pilots[:, :1, None]))
     p_hat = scale * pilots[:, 1:, None]
@@ -237,36 +206,22 @@ def narrowband_search(
     vectors: np.ndarray | None = None,
     sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
-    """Single-subcarrier codebook sweep.
+    """Single-subcarrier codebook sweep: the pick of :func:`wideband_search`
+    on one block, with weight 1 so that the score is the block's own.
 
-    Scores each distinct sine of the codebook once and keeps the best, at
-    the lowest grid index with that sine (``Codebook.distinct``): the
-    candidates that share a sine share a steering vector, so no grid index
-    but the lowest is ever picked.  Exact ties between sines go to the
-    lowest index too, as ``distinct`` ascends.  ``vectors`` can carry
-    precomputed (N, Q) candidate steering vectors for the block's
-    subcarrier, and ``sweep`` the block's precomputed ``(scores,
-    alpha_conj)`` rows of :func:`sweep_scores` with this codebook, each (D,).
+    The candidates that share a sine share a steering vector, so the sweep
+    scores each distinct sine once and the pick lands on the lowest grid
+    index with that sine (``Codebook.distinct``); exact ties between sines
+    go to the lowest index too, as ``distinct`` ascends.  ``vectors`` can
+    carry the precomputed (N, D) table of the block's subcarrier, and
+    ``sweep`` the block's precomputed ``(scores, alpha_conj)`` rows of
+    :func:`sweep_scores` on it, each (D,).
     """
-    if vectors is None:
-        vectors = codebook.vectors(geometry, block.subcarrier)
-    if sweep is None:
-        scores, alpha_conj = sweep_scores(
-            block.y[None, :], family, vectors[None], [pilots], noise, cap, codebook
-        )
-        sweep = scores[0], alpha_conj[0]
-    scores, alpha_conj = sweep
-    col, q0 = _winner(scores, codebook)
-    alpha = np.conj(alpha_conj[col])
-    h_hat = alpha * vectors[:, q0]
-    return EstimationResult(
-        device=block.device,
-        q_star=q0 + 1,
-        alpha_hat=np.array([alpha]),
-        h_hat=h_hat[None, :],
-        score=float(scores[col]),
-        multiply_count=complexity_psi(family.n, 1, codebook.q_levels),
-    )
+    if vectors is not None:
+        vectors = vectors[None]
+    if sweep is not None:
+        sweep = (sweep[0][None], sweep[1][None])
+    return _search([block], family, codebook, geometry, pilots, noise, cap, vectors, sweep, 1.0)
 
 
 def wideband_search(
@@ -282,23 +237,31 @@ def wideband_search(
 ) -> EstimationResult:
     """Joint sweep across subcarriers sharing one departure angle.
 
-    Per-subcarrier scores of each distinct sine are averaged with the
-    1/(M + L_cp) cyclic-prefix weight and the argmax of that mean picks a
-    single angle, at its lowest grid index as in :func:`narrowband_search`;
+    Per-subcarrier scores of each distinct sine are summed with the
+    1/(M + L_cp) cyclic-prefix weight and the best mean picks a single
+    angle, at its lowest grid index as in :func:`narrowband_search`;
     per-subcarrier gains are read off at it.  ``pilots`` is one pair for
     every subcarrier, shape (2,), or one pair per subcarrier, shape (M, 2).
-    With a single subcarrier and no cyclic prefix this reduces exactly to
-    :func:`narrowband_search`.  ``sweep`` can carry the blocks' precomputed
-    ``(scores, alpha_conj)`` of :func:`sweep_scores` with this codebook,
-    each (M, D).
+    ``vectors`` can carry the blocks' precomputed (M, N, D) tables
+    (:meth:`Codebook.tables`), and ``sweep`` their precomputed
+    ``(scores, alpha_conj)`` of :func:`sweep_scores` on them, each (M, D).
     """
+    weight = float(len(blocks) + geometry.cp_len)
+    return _search(blocks, family, codebook, geometry, pilots, noise, cap, vectors, sweep, weight)
+
+
+def _search(blocks, family, codebook, geometry, pilots, noise, cap, vectors, sweep, weight):
+    """The one angle pick of both searches: the best of the D columns of the
+    blocks' summed scores over ``weight``, first on exact ties, with
+    ``h_hat`` gathered from the (M, N, D) tables at that column.  Without
+    ``vectors`` or ``sweep`` the search builds and scores them itself.
+    ``weight`` comes as a float, which NumPy 2 divides by at about half the
+    cost of an int; narrowband picks run K*M times a trial."""
     mm = len(blocks)
     if mm == 0:
         raise ValueError("need at least one received block")
     pilots = np.asarray(pilots, dtype=complex)
-    if pilots.shape == (2,):
-        pilots = np.broadcast_to(pilots, (mm, 2))
-    elif pilots.shape != (mm, 2):
+    if pilots.shape not in ((2,), (mm, 2)):
         raise ValueError(
             f"pilots must be one pair, shape (2,), or one pair per subcarrier, "
             f"shape ({mm}, 2); got shape {pilots.shape}"
@@ -308,33 +271,26 @@ def wideband_search(
     vectors = np.asarray(vectors)
     if sweep is None:
         ys = np.stack([b.y for b in blocks])
-        sweep = sweep_scores(ys, family, vectors, pilots, noise, cap, codebook)
+        # one pair, as a (1, 2) row, broadcasts over the subcarriers
+        sweep = sweep_scores(ys, family, vectors, pilots.reshape(-1, 2), noise, cap)
     scores, alpha_conj = sweep
-    mean_scores = scores.sum(axis=0) / (mm + geometry.cp_len)
-
-    col, q0 = _winner(mean_scores, codebook)
+    width = codebook.distinct.size
+    if scores.shape[-1] != width or vectors.shape[-1] != width:
+        raise ValueError(
+            f"sweep rows and tables must hold the codebook's {width} distinct sines, "
+            f"got rows of width {scores.shape[-1]} and tables of width {vectors.shape[-1]}"
+        )
+    # one row is its own sum: skip the reduction, K*M times a trial
+    mean_scores = (scores[0] if len(scores) == 1 else scores.sum(axis=0)) / weight
+    col = int(mean_scores.argmax())
     alpha = np.conj(alpha_conj[:, col])
-    h_hat = alpha[:, None] * vectors[:, :, q0]
     return EstimationResult(
         device=blocks[0].device,
-        q_star=q0 + 1,
+        q_star=int(codebook.distinct[col]) + 1,
         alpha_hat=alpha,
-        h_hat=h_hat,
+        h_hat=alpha[:, None] * vectors[:, :, col],
         score=float(mean_scores[col]),
-        multiply_count=complexity_psi(family.n, mm, codebook.q_levels),
     )
-
-
-def _winner(scores: np.ndarray, codebook: Codebook) -> tuple[int, int]:
-    """The column of the best of one row of per-sine ``scores``, first on
-    exact ties, and its 0-based grid index."""
-    if scores.shape != codebook.distinct.shape:
-        raise ValueError(
-            f"sweep rows must hold the codebook's {codebook.distinct.size} distinct sines, "
-            f"got {scores.shape[-1]} columns"
-        )
-    col = int(scores.argmax())
-    return col, int(codebook.distinct[col])
 
 
 def complexity_psi(n: int, m: int, q_levels: int) -> int:
@@ -343,7 +299,7 @@ def complexity_psi(n: int, m: int, q_levels: int) -> int:
     Two combiner-matrix products per subcarrier plus one length-N inner
     product per candidate.  Exact integer arithmetic, no overflow.  This is
     the paper's count for a receiver that scores every grid candidate; the
-    simulator's sweep scores each distinct sine once (``Codebook.sine_runs``),
+    simulator's sweep scores each distinct sine once (``Codebook.distinct``),
     so it does less work than this on a grid that holds mirror angles: 257
     of Q = 512 candidates on [0, 2*pi).
     """

@@ -192,16 +192,32 @@ class ExperimentConfig:
             )
         if k > n:
             raise ValueError(f"n_devices={k} exceeds n_antennas={n}")
-        # the linear powers a sweep point runs with, derived as _SweepContext does
-        sigma2 = _linear_power("sigma2_db", self.sigma2_db)
-        nlos_var = _linear_power("delta2_db", self.delta2_db)
-        if self.p_t_db is not None:
-            _linear_power("p_t_db", self.p_t_db)
-        else:
-            p_t = _linear_power("snr_db", self.snr_db) * sigma2 / (1.0 + self.n_nlos * nlos_var)
-            if not 0 < p_t < math.inf:
-                raise ValueError(f"snr_db={self.snr_db!r} gives a transmit power of {p_t!r}, "
-                                 "not a finite positive one")
+        _point_models(self)
+
+
+def _point_models(cfg: ExperimentConfig) -> tuple[ChannelProfile, NoiseModel]:
+    """The fading profile and noise model a sweep point runs with.
+
+    Validation and the run both take them from here.  A dB setting whose
+    linear power is not finite and positive raises ValueError naming its
+    field; with ``snr_db`` that includes the transmit power derived from it.
+    """
+    sigma2 = _linear_power("sigma2_db", cfg.sigma2_db)
+    profile = ChannelProfile(
+        los_var=1.0,
+        nlos_var=_linear_power("delta2_db", cfg.delta2_db),
+        n_nlos=cfg.n_nlos,
+        angular_range=cfg.rho * math.pi,
+    )
+    if cfg.p_t_db is not None:
+        p_t = _linear_power("p_t_db", cfg.p_t_db)
+    else:
+        # ensemble statistics: E||h||^2/N is the mean per-antenna gain
+        p_t = _linear_power("snr_db", cfg.snr_db) * sigma2 / profile.mean_channel_gain
+        if not 0 < p_t < math.inf:
+            raise ValueError(f"snr_db={cfg.snr_db!r} gives a transmit power of {p_t!r}, "
+                             "not a finite positive one")
+    return profile, NoiseModel(variance=sigma2, tx_power=p_t)
 
 
 def _linear_power(name: str, db: float) -> float:
@@ -303,25 +319,13 @@ class _SweepContext:
             n_subcarriers=cfg.n_subcarriers,
             cp_len=cfg.cp_len,
         )
-        self.profile = ChannelProfile(
-            los_var=1.0,
-            nlos_var=db_to_linear(cfg.delta2_db),
-            n_nlos=cfg.n_nlos,
-            angular_range=cfg.rho * math.pi,
-        )
-        sigma2 = db_to_linear(cfg.sigma2_db)
-        if cfg.p_t_db is not None:
-            p_t = db_to_linear(cfg.p_t_db)
-        else:
-            # ensemble statistics: E||h||^2/N is the mean per-antenna gain
-            p_t = db_to_linear(cfg.snr_db) * sigma2 / self.profile.mean_channel_gain
-        self.noise = NoiseModel(variance=sigma2, tx_power=p_t)
+        self.profile, self.noise = _point_models(cfg)
 
         self.family = build_family(self.n)
         self.precoders = build_precoders(self.family)
         self.diagonals = pairwise_diagonals(self.family)
         self.codebook = make_codebook(cfg.q_levels, 0.0, cfg.rho * math.pi)
-        self.vectors = self.codebook.tables(self.geometry)  # (M, N, Q)
+        self.vectors = self.codebook.tables(self.geometry)  # (M, N, D)
         self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
 
     def run_trial(self, trial: int) -> list[TrialResult]:
@@ -442,7 +446,7 @@ class _SweepContext:
             devices = range(c0, min(c0 + chunk, self.k_devices))
             ys = np.array([[b.y for b in blocks[k0]] for k0 in devices])
             chunk_scores, chunk_alpha_conj = sweep_scores(
-                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap, self.codebook
+                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap
             )
             for k0, scores, alpha_conj in zip(devices, chunk_scores, chunk_alpha_conj):
                 if "circle" in methods:

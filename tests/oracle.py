@@ -6,8 +6,10 @@ The simulator evaluates each quantity here once, in batched code:
 ``seeding.seed_words``.  This module writes each as one plain formula for
 one device, one candidate or one pair of family members, built from
 ``family.member(k)`` products and never from the batched code, so the
-tests can hold that code to something it does not share.  Device, member
-and slot indices are 1-based, as in the paper.
+tests can hold that code to something it does not share.  ``snr_db`` is
+the received SNR of one realization, whose ensemble mean in linear scale
+the config field of that name sets; the simulator never evaluates it.
+Device, member and slot indices are 1-based, as in the paper.
 """
 
 import math
@@ -74,6 +76,21 @@ def decompose_combined(h_hat, h_true, family, k: int, symbols, noise, z):
     return math.sqrt(noise.tx_power / family.n) * (symbols @ gains) + noise_out, gains
 
 
+def snr_db(noise, h) -> float:
+    """Received SNR in dB for the deterministic-precoder transmission.
+
+    With a unitary slot precoder and unit-variance symbols the expected
+    received signal power is p_t*||h||^2/N, so the SNR is
+    10*log10(p_t*||h||^2 / (N*sigma^2)).
+    """
+    if noise.variance == 0:
+        raise ValueError("SNR is undefined for zero noise variance")
+    h = np.asarray(h)
+    n = h.shape[-1]
+    power = noise.tx_power * float(np.sum(np.abs(h) ** 2)) / n
+    return 10.0 * math.log10(power / noise.variance)
+
+
 def se_bits(sinr: float, cap: float = SINR_CAP) -> float:
     """log2(1 + sinr), with an infinite SINR capped before the log."""
     return math.log2(1.0 + min(sinr, cap))
@@ -137,6 +154,13 @@ def score_candidate(candidate, alpha_hat, y, family, pilot2, noise, cap=SINR_CAP
     if alpha_hat == 0:
         return 0.0
     return se_bits(estimated_sinr(alpha_hat * candidate, family, y, pilot2, noise), cap)
+
+
+def lowest_same_sine(codebook) -> np.ndarray:
+    """The lowest 0-based grid index whose sine equals that of each grid
+    index to within 1e-12, one comparison against the whole grid per index."""
+    sines = np.sin(codebook.angles)
+    return np.array([np.flatnonzero(np.abs(sines - s) <= 1e-12)[0] for s in sines])
 
 
 def detect_qpsk(values) -> np.ndarray:

@@ -227,7 +227,7 @@ def test_criterion_07_resolution_trend():
     ratios = {}
     for q_levels in (64, 256, 1024):
         cb = cm.make_codebook(q_levels, 0.0, 2 * math.pi)
-        vectors = [cb.vectors(geom, m) for m in range(1, mm + 1)]
+        vectors = cb.tables(geom)
         achieved_total = bound_total = 0.0
         for trial in range(200):
             rng = np.random.default_rng((7, q_levels, trial))

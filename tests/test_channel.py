@@ -10,9 +10,9 @@ from circle_mimo.channel import (
     array_response,
     db_to_linear,
     sample_channel,
-    snr_db,
 )
 from conftest import los_channel
+from oracle import snr_db
 
 
 NARROW = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9)
