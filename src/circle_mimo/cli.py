@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="override the experiment seed")
     run.add_argument("--out", default="results.csv", help="output CSV path")
     run.add_argument("--trials", type=int, help="override the trial count")
-    run.add_argument("--threads", type=int, default=1, help="worker threads")
     run.add_argument("--timing", action="store_true",
                      help="write measured wall times (breaks byte-level determinism)")
     run.add_argument("--quiet", action="store_true", help="suppress the summary table")
@@ -61,9 +60,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"CIRCLE_SEED must be an integer, got {env_seed!r}") from None
         if args.seed is not None:
             config.seed = args.seed
-        config.validate()
-
-        results = list(run_experiment(config, threads=args.threads))
+        # run_experiment validates the config before its first trial
+        results = list(run_experiment(config))
         write_csv(results, args.out, timing=args.timing)
         if not args.quiet:
             _print_summary(results)

@@ -2,13 +2,14 @@
 
 Reproducibility notes: every random draw is keyed by a spawn chain on the
 experiment seed, (trial,) for frame symbols, (trial, device) for channel
-realizations and (trial, device, subcarrier) for receiver noise, so results
-are byte-identical for a fixed seed regardless of how many worker threads
-consume the trials.  Each trial derives the seed words of all its keys in
-one vectorised pass of NumPy's ``SeedSequence`` hash (``seeding``), which
-gives the streams ``SeedSequence(seed, spawn_key=key)`` gives.  Wall-clock timings are measured per method but written
-to the CSV as 0 unless explicitly requested, keeping the default output
-deterministic.
+realizations and (trial, device, subcarrier) for receiver noise, so a
+trial's results depend only on the config and the trial index, and the
+serially run trials give byte-identical CSVs for a fixed seed.  Each trial
+derives the seed words of all its keys in one vectorised pass of NumPy's
+``SeedSequence`` hash (``seeding``), which gives the streams
+``SeedSequence(seed, spawn_key=key)`` gives.  Wall-clock timings are
+measured per method but written to the CSV as 0 unless explicitly
+requested, keeping the default output deterministic.
 
 Under estimated CSIR, ``circle`` and ``r-circle`` read one shared codebook
 sweep per device, and both pick their angles from it before the method
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -106,6 +106,8 @@ class ExperimentConfig:
         value, and must pass every check a config without a sweep passes.
         """
         if self.sweep_param is None:
+            if self.sweep_values is not None:
+                raise ValueError("sweep_values is set but sweep_param is not")
             self._validate_point()
             return
         if self.sweep_param not in _SWEEPABLE:
@@ -168,7 +170,7 @@ class ExperimentConfig:
             raise ValueError("sinr_cap must be positive")
         if not self.methods:
             raise ValueError("methods must name at least one method")
-        for method in self.methods:
+        for i, method in enumerate(self.methods):
             if method in UNAVAILABLE_METHODS:
                 raise NotImplementedError(
                     f"method {method!r} is a recognized benchmark but is not "
@@ -178,6 +180,8 @@ class ExperimentConfig:
                 )
             if method not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {method!r}")
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method!r} is named more than once")
         k = self.n_devices
         n = self.n_antennas if self.n_antennas is not None else k + 2
         if n < 3:
@@ -471,26 +475,17 @@ class _SweepContext:
         return {m: (h_hat[m], tuple(q_star[m])) for m in methods}
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> Iterator[TrialResult]:
-    """Run all sweep points and trials, yielding results in trial order.
+def run_experiment(config: ExperimentConfig) -> Iterator[TrialResult]:
+    """Run all sweep points and trials serially, yielding results in trial order.
 
-    Trials are independent work items; results come back ordered regardless
-    of worker count, so aggregate statistics and CSV bytes do not depend on
-    ``threads``.
+    A trial's rows depend only on the config and the trial index, so the
+    trials of a point could run in any order or be split across workers.
     """
     config.validate()
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    sweep_values = config.sweep_values if config.sweep_param is not None else (None,)
-    for sweep_value in sweep_values:
+    for sweep_value in config.sweep_values or (None,):
         ctx = _SweepContext(config, sweep_value)
-        if threads == 1:
-            for trial in range(ctx.config.n_trials):
-                yield from ctx.run_trial(trial)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for batch in pool.map(ctx.run_trial, range(ctx.config.n_trials)):
-                    yield from batch
+        for trial in range(ctx.config.n_trials):
+            yield from ctx.run_trial(trial)
 
 
 def write_csv(results: Iterable[TrialResult], path, timing: bool = False) -> None:

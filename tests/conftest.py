@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from circle_mimo.channel import ArrayGeometry, ChannelRealization, array_response
 from circle_mimo.dftcore import build_family, build_precoders
+from circle_mimo.harness import _SweepContext, run_experiment
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +39,24 @@ def random_channel_vector(rng: np.random.Generator, n: int) -> np.ndarray:
         h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
         if np.min(np.abs(h)) > 1e-6:
             return h
+
+
+def _comparable(row):
+    """A TrialResult without its wall time and with its array as bytes, so rows compare with ==."""
+    return replace(row, wall_time_s=0.0, per_device_se=row.per_device_se.tobytes())
+
+
+def assert_trial_rows_order_free(config) -> None:
+    """A trial's rows depend only on the config and the trial index.
+
+    A fresh ``_SweepContext`` per sweep point runs its trials in reverse
+    order; every row must equal that of the serial ``run_experiment`` run.
+    A generator or buffer the context kept across trials would fail this.
+    """
+    serial = [_comparable(row) for row in run_experiment(config)]
+    backward = []
+    for value in config.sweep_values or (None,):
+        ctx = _SweepContext(config, value)
+        batches = [ctx.run_trial(t) for t in reversed(range(ctx.config.n_trials))]
+        backward += [_comparable(row) for batch in reversed(batches) for row in batch]
+    assert backward == serial

@@ -14,6 +14,7 @@ from circle_mimo.baselines import WMMSE_MAX_ITERS
 from circle_mimo.cli import main as cli_main
 from circle_mimo.harness import (
     KNOWN_METHODS,
+    PRESET_NAMES,
     ExperimentConfig,
     load_config_file,
     preset,
@@ -21,6 +22,7 @@ from circle_mimo.harness import (
     summarize,
     write_csv,
 )
+from conftest import assert_trial_rows_order_free
 
 
 def quick_config(**overrides):
@@ -68,6 +70,16 @@ class TestConfigValidation:
             quick_config(sweep_param="nonsense", sweep_values=(1,)).validate()
         with pytest.raises(ValueError):
             quick_config(sweep_param="n_devices", sweep_values=()).validate()
+
+    def test_repeated_method_rejected(self):
+        # a method named twice ran twice per trial and doubled its summary's n_trials
+        with pytest.raises(ValueError, match="method 'circle' is named more than once"):
+            quick_config(methods=("bound", "circle", "circle")).validate()
+
+    def test_sweep_values_without_sweep_param_rejected(self):
+        # they were ignored: the config ran one unswept point
+        with pytest.raises(ValueError, match="sweep_values is set but sweep_param is not"):
+            quick_config(sweep_values=(2, 3)).validate()
 
     def test_power_sweep_over_a_set_snr_rejected(self):
         cfg = quick_config(sweep_param="p_t_db", sweep_values=(0.0, 5.0))
@@ -236,6 +248,10 @@ class TestPresets:
         assert cfg.delta2_db == -15.0
         assert cfg.snr_db == 10.0
 
+    def test_every_preset_validates(self):
+        for name in PRESET_NAMES:
+            preset(name).validate()
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("fig9")
@@ -270,14 +286,16 @@ class TestRunExperiment:
             assert x.sum_se_bits_per_use == y.sum_se_bits_per_use
             assert (x.per_device_se == y.per_device_se).all()
 
-    def test_thread_count_invariance(self):
-        cfg = quick_config(n_trials=8)
-        one = list(run_experiment(cfg, threads=1))
-        many = list(run_experiment(cfg, threads=8))
-        assert [r.sum_se_bits_per_use for r in one] == [r.sum_se_bits_per_use for r in many]
-        mean_one = np.mean([r.sum_se_bits_per_use for r in one if r.method == "circle"])
-        mean_many = np.mean([r.sum_se_bits_per_use for r in many if r.method == "circle"])
-        assert mean_one == pytest.approx(mean_many, abs=1e-9)
+    def test_trial_rows_depend_only_on_config_and_index(self):
+        fig4d = replace(preset("fig4d"), sweep_values=(6,), n_trials=3, seed=5)
+        fig5 = replace(preset("fig5"), sweep_param=None, sweep_values=None, n_devices=6,
+                       n_subcarriers=2, n_trials=3, seed=5)
+        assert fig4d.csir == "estimated" and "wmmse" in fig5.methods
+        for cfg in (fig4d, fig5):
+            one = list(run_experiment(cfg))
+            two = list(run_experiment(cfg))
+            assert [r.sum_se_bits_per_use for r in one] == [r.sum_se_bits_per_use for r in two]
+            assert_trial_rows_order_free(cfg)
 
     def test_genie_mode_matches_bound_structure(self):
         cfg = quick_config(csir="genie", methods=("bound", "circle"), n_subcarriers=1,
@@ -321,14 +339,15 @@ class TestCsv:
         value = raw.decode().splitlines()[1].split(",")[3]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
-    def test_deterministic_bytes_across_runs_and_threads(self, tmp_path):
+    def test_deterministic_bytes_across_runs(self, tmp_path):
         cfg = quick_config(n_trials=5)
         digests = []
-        for threads in (1, 8, 1):
-            path = tmp_path / f"t{len(digests)}.csv"
-            write_csv(run_experiment(cfg, threads=threads), path)
+        for i in range(3):
+            path = tmp_path / f"t{i}.csv"
+            write_csv(run_experiment(cfg), path)
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests[0] == digests[1] == digests[2]
+        assert_trial_rows_order_free(cfg)
 
     def test_timing_column_gated(self, tmp_path):
         cfg = quick_config(n_trials=1, methods=("bound",))
@@ -556,6 +575,18 @@ class TestConfigFileValues:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key}=")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("methods = bound, circle, circle", "method 'circle' is named more than once"),
+        ("sweep_values = 2, 3", "sweep_values is set but sweep_param is not"),
+    ])
+    def test_cli_exits_1_on_a_config_validate_rejects(self, tmp_path, capsys, line, message):
+        path, _ = self.write(tmp_path, line)
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == "" and not out.exists()
 
     def test_unparsable_number_names_file_line_and_key(self, tmp_path):
