@@ -46,10 +46,10 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be positive")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.bandwidth_hz < 0:
-            raise ValueError("bandwidth_hz must be nonnegative")
+        if not 0 < self.carrier_freq_hz < math.inf:  # written so that nan fails too
+            raise ValueError("carrier_freq_hz must be finite and positive")
+        if not 0 <= self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth_hz must be finite and nonnegative")
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
         if self.cp_len < 0:
@@ -92,8 +92,8 @@ class ChannelProfile:
     angular_range: float = 2.0 * math.pi
 
     def __post_init__(self):
-        if self.los_var < 0 or self.nlos_var < 0:
-            raise ValueError("gain variances must be nonnegative")
+        if not (0 <= self.los_var < math.inf and 0 <= self.nlos_var < math.inf):
+            raise ValueError("gain variances must be finite and nonnegative")
         if self.n_nlos < 0:
             raise ValueError("n_nlos must be nonnegative")
         if not 0 < self.angular_range <= 2.0 * math.pi:
@@ -133,10 +133,10 @@ class NoiseModel:
     tx_power: float = 1.0   # p_t
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("noise variance must be nonnegative")
-        if self.tx_power < 0:
-            raise ValueError("tx power must be nonnegative")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError("noise variance must be finite and nonnegative")
+        if not 0 <= self.tx_power < math.inf:
+            raise ValueError("tx power must be finite and nonnegative")
 
 
 def array_response(geometry: ArrayGeometry, theta: float, m: int = 1) -> np.ndarray:

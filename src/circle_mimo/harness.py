@@ -103,7 +103,9 @@ class ExperimentConfig:
         """Check the config at every sweep point before any trial runs.
 
         Each point is the config with the swept field replaced by one sweep
-        value, and must pass every check a config without a sweep passes.
+        value, and must pass every check a config without a sweep passes,
+        those of the models ``_point_models`` builds included.  A sweep value
+        equal (``==``) to an earlier one is rejected: its point would run twice.
         """
         if self.sweep_param is None:
             if self.sweep_values is not None:
@@ -114,7 +116,9 @@ class ExperimentConfig:
             raise ValueError(f"cannot sweep field {self.sweep_param!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty when sweeping")
-        for value in self.sweep_values:
+        for i, value in enumerate(self.sweep_values):
+            if any(value == earlier for earlier in self.sweep_values[:i]):
+                raise ValueError(f"sweep value {self.sweep_param}={value!r} is listed more than once")
             try:
                 replace(self, **{self.sweep_param: value})._validate_point()
             except ValueError as exc:
@@ -127,39 +131,18 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("sigma2_db", "delta2_db", "carrier_freq_hz", "bandwidth_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if (self.snr_db is None) == (self.p_t_db is None):
             raise ValueError("exactly one of snr_db and p_t_db must be set")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        if self.p_t_db is not None and not math.isfinite(self.p_t_db):
-            raise ValueError("p_t_db must be finite")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.n_devices < 1:
             raise ValueError("n_devices must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.n_nlos < 0:
-            raise ValueError("n_nlos must be nonnegative")
         if not 0 < self.rho <= 2:  # written so that nan fails too
             raise ValueError("rho must lie in (0, 2]")
         if self.q_levels < 1:
             raise ValueError("q_levels must be at least 1")
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be at least 1")
-        if self.cp_len < 0:
-            raise ValueError("cp_len must be nonnegative")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.bandwidth_hz < 0:
-            raise ValueError("bandwidth_hz must be nonnegative")
-        # lowest subcarrier, f_c - B*(M - 1)/(2M), as ArrayGeometry places it
-        m = self.n_subcarriers
-        if self.carrier_freq_hz + self.bandwidth_hz * (1 - m) / (2 * m) <= 0:
-            raise ValueError("the lowest subcarrier frequency must be positive")
         if self.symbol_source not in ("gaussian", "qpsk"):
             raise ValueError(f"unknown symbol_source {self.symbol_source!r}")
         if self.csit_normalization not in ("amplitude", "power"):
@@ -182,8 +165,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {method!r}")
             if method in self.methods[:i]:
                 raise ValueError(f"method {method!r} is named more than once")
-        k = self.n_devices
-        n = self.n_antennas if self.n_antennas is not None else k + 2
+        geometry, _, _ = _point_models(self)
+        k, n = self.n_devices, geometry.n_antennas
         if n < 3:
             raise ValueError(
                 f"n_antennas={n} leaves no symbol slot: a frame carries two "
@@ -196,16 +179,24 @@ class ExperimentConfig:
             )
         if k > n:
             raise ValueError(f"n_devices={k} exceeds n_antennas={n}")
-        _point_models(self)
 
 
-def _point_models(cfg: ExperimentConfig) -> tuple[ChannelProfile, NoiseModel]:
-    """The fading profile and noise model a sweep point runs with.
+def _point_models(cfg: ExperimentConfig) -> tuple[ArrayGeometry, ChannelProfile, NoiseModel]:
+    """The array geometry, fading profile and noise model a sweep point runs with.
 
-    Validation and the run both take them from here.  A dB setting whose
-    linear power is not finite and positive raises ValueError naming its
-    field; with ``snr_db`` that includes the transmit power derived from it.
+    N is ``n_antennas``, or K + 2 when that is None.  Validation and the run
+    both take the models from here, so their constructors check the frequency
+    plan, the path count and the variances.  A dB setting whose linear power
+    is not finite and positive raises ValueError naming its field; with
+    ``snr_db`` that includes the transmit power derived from it.
     """
+    geometry = ArrayGeometry(
+        n_antennas=cfg.n_antennas if cfg.n_antennas is not None else cfg.n_devices + 2,
+        carrier_freq_hz=cfg.carrier_freq_hz,
+        bandwidth_hz=cfg.bandwidth_hz,
+        n_subcarriers=cfg.n_subcarriers,
+        cp_len=cfg.cp_len,
+    )
     sigma2 = _linear_power("sigma2_db", cfg.sigma2_db)
     profile = ChannelProfile(
         los_var=1.0,
@@ -221,7 +212,7 @@ def _point_models(cfg: ExperimentConfig) -> tuple[ChannelProfile, NoiseModel]:
         if not 0 < p_t < math.inf:
             raise ValueError(f"snr_db={cfg.snr_db!r} gives a transmit power of {p_t!r}, "
                              "not a finite positive one")
-    return profile, NoiseModel(variance=sigma2, tx_power=p_t)
+    return geometry, profile, NoiseModel(variance=sigma2, tx_power=p_t)
 
 
 def _linear_power(name: str, db: float) -> float:
@@ -315,15 +306,8 @@ class _SweepContext:
         self.sweep_value = sweep_value
 
         self.k_devices = cfg.n_devices
-        self.n = cfg.n_antennas if cfg.n_antennas is not None else cfg.n_devices + 2
-        self.geometry = ArrayGeometry(
-            n_antennas=self.n,
-            carrier_freq_hz=cfg.carrier_freq_hz,
-            bandwidth_hz=cfg.bandwidth_hz,
-            n_subcarriers=cfg.n_subcarriers,
-            cp_len=cfg.cp_len,
-        )
-        self.profile, self.noise = _point_models(cfg)
+        self.geometry, self.profile, self.noise = _point_models(cfg)
+        self.n = self.geometry.n_antennas
 
         self.family = build_family(self.n)
         self.precoders = build_precoders(self.family)
@@ -538,7 +522,6 @@ def summarize(results: Iterable[TrialResult]) -> list[dict]:
     return out
 
 
-_LIST_FIELDS = {"methods", "sweep_values"}
 _STR_FIELDS = {"symbol_source", "csit_normalization", "csir", "sweep_param"}
 # the fields whose None has a meaning: follow K + 2, the other power spec, no sweep
 _OPTIONAL_FIELDS = {"n_antennas", "snr_db", "p_t_db", "sweep_param", "sweep_values"}

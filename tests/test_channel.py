@@ -41,6 +41,31 @@ class TestGeometry:
             ArrayGeometry(n_antennas=4, carrier_freq_hz=1e9, bandwidth_hz=-1.0)
         with pytest.raises(ValueError):
             NARROW.subcarrier_freq_hz(2)
+        # nan and inf fail too: either would give an all-nan phase_base
+        for field, value in (
+            ("carrier_freq_hz", math.inf), ("carrier_freq_hz", math.nan),
+            ("bandwidth_hz", math.inf), ("bandwidth_hz", math.nan),
+        ):
+            kwargs = dict(n_antennas=8, carrier_freq_hz=100e9, n_subcarriers=2)
+            kwargs[field] = value
+            with pytest.raises(ValueError, match=field):
+                ArrayGeometry(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"variance": -1.0}, {"variance": math.nan}, {"variance": math.inf},
+        {"tx_power": -1.0}, {"tx_power": math.nan}, {"tx_power": math.inf},
+    ])
+    def test_noise_model_validation(self, kwargs):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"los_var": -1.0}, {"los_var": math.nan}, {"los_var": math.inf},
+        {"nlos_var": -1.0}, {"nlos_var": math.nan}, {"nlos_var": math.inf},
+    ])
+    def test_channel_profile_validation(self, kwargs):
+        with pytest.raises(ValueError, match="gain variances must be finite and nonnegative"):
+            ChannelProfile(**kwargs)
 
 
 class TestArrayResponse:

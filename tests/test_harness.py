@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="method 'circle' is named more than once"):
             quick_config(methods=("bound", "circle", "circle")).validate()
 
+    def test_repeated_sweep_value_rejected(self):
+        # a value listed twice ran its point twice and doubled its summary's n_trials;
+        # values compare by ==, as summarize's buckets do
+        for values in ((10.0, 10.0), (10, 5.0, 10.0)):
+            cfg = quick_config(sweep_param="snr_db", sweep_values=values)
+            with pytest.raises(ValueError, match="^sweep value snr_db=10.0 is listed more than once$"):
+                cfg.validate()
+        quick_config(sweep_param="snr_db", sweep_values=(10.0, 5.0)).validate()
+
     def test_sweep_values_without_sweep_param_rejected(self):
         # they were ignored: the config ran one unswept point
         with pytest.raises(ValueError, match="sweep_values is set but sweep_param is not"):
@@ -121,17 +131,23 @@ class TestConfigValidation:
             quick_config(q_levels=32.0).validate()
 
     def test_frequency_plan_checked(self):
-        with pytest.raises(ValueError, match="n_subcarriers"):
-            quick_config(n_subcarriers=0).validate()
-        with pytest.raises(ValueError, match="cp_len"):
-            quick_config(cp_len=-1).validate()
-        with pytest.raises(ValueError, match="carrier_freq_hz"):
-            quick_config(carrier_freq_hz=0.0).validate()
-        with pytest.raises(ValueError, match="bandwidth_hz"):
-            quick_config(bandwidth_hz=float("nan")).validate()
-        # subcarrier 1 sits at f_c - B/4 for M = 2
-        with pytest.raises(ValueError, match="lowest subcarrier"):
-            quick_config(carrier_freq_hz=10e9, bandwidth_hz=40e9).validate()
+        # the point's ArrayGeometry and ChannelProfile make these checks, before
+        # the first trial
+        for match, overrides in (
+            ("n_subcarriers", {"n_subcarriers": 0}),
+            ("cp_len", {"cp_len": -1}),
+            ("carrier_freq_hz", {"carrier_freq_hz": 0.0}),
+            ("carrier_freq_hz", {"carrier_freq_hz": math.inf}),
+            ("bandwidth_hz", {"bandwidth_hz": math.nan}),
+            ("bandwidth_hz", {"bandwidth_hz": math.inf}),
+            ("n_nlos", {"n_nlos": -1}),
+            # subcarrier 1 sits at f_c - B/4 for M = 2
+            ("lowest subcarrier", {"carrier_freq_hz": 10e9, "bandwidth_hz": 40e9}),
+        ):
+            with pytest.raises(ValueError, match=match):
+                quick_config(**overrides).validate()
+            with pytest.raises(ValueError, match=match):
+                next(iter(run_experiment(quick_config(**overrides))))
 
     def test_antenna_count_leaves_a_symbol_slot(self):
         # a frame is two pilots plus at least one symbol, even for baselines
@@ -151,6 +167,8 @@ class TestConfigValidation:
             "n_subcarriers": st.integers(1, 3),
             "cp_len": st.integers(0, 3),
             "bandwidth_hz": st.sampled_from([0.0, 10e9, 250e9]),
+            "carrier_freq_hz": st.sampled_from([100e9, 28e9, math.inf, math.nan]),
+            "sigma2_db": st.floats(-30.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
             "snr_db": st.floats(-30.0, 60.0),
             "delta2_db": st.floats(-40.0, 0.0),
             "csir": st.sampled_from(["genie", "estimated"]),
@@ -203,6 +221,10 @@ class TestConfigValidation:
         ("p_t_db", {"snr_db": None, "p_t_db": -4000.0}),
         ("p_t_db", {"snr_db": None, "p_t_db": 4000.0}),
         ("snr_db", {"snr_db": 300.0, "sigma2_db": 3000.0}),  # p_t = 1e30 * 1e300
+        ("sigma2_db", {"sigma2_db": math.nan}),
+        ("delta2_db", {"delta2_db": -math.inf}),
+        ("snr_db", {"snr_db": math.nan}),
+        ("p_t_db", {"snr_db": None, "p_t_db": math.inf}),
     ])
     def test_db_powers_must_be_finite_and_positive(self, field, overrides):
         with pytest.raises(ValueError, match=f"^{field}="):
@@ -580,6 +602,7 @@ class TestConfigFileValues:
     @pytest.mark.parametrize("line, message", [
         ("methods = bound, circle, circle", "method 'circle' is named more than once"),
         ("sweep_values = 2, 3", "sweep_values is set but sweep_param is not"),
+        ("sweep_param = snr_db\nsweep_values = 10, 10", "sweep value snr_db=10 is listed more than once"),
     ])
     def test_cli_exits_1_on_a_config_validate_rejects(self, tmp_path, capsys, line, message):
         path, _ = self.write(tmp_path, line)
