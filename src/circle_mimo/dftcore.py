@@ -11,9 +11,10 @@ In closed form, with omega = exp(-2i*pi/N) and 0-based indices,
     members[k0][:, j] = u[:, (j - k0) mod N]
     diag(members[k0] @ members[l0]^H)[p] = omega^(p * (l0 - k0)),
 
-so every tensor here is a gather from the DFT matrix or from one table of
-N-th roots of unity, and the whole set-up costs O(N^3): one write per
-output entry.
+so members and diagonals are windows of two tables: the DFT matrix laid
+twice side by side (N x 2N) and the root table omega^(p*d) laid twice on
+top of itself (2N x N).  The three N x N x N arrays here are read-only views
+of those tables, and the whole set-up costs O(N^2) in time and memory.
 
 Index conventions: the construction is naturally 1-based (member k, slot n,
 device k), and the ``member`` and ``slot`` accessors take 1-based
@@ -35,11 +36,11 @@ class PermutedDftFamily:
 
     ``members[k0]`` is the DFT matrix with column order given by column
     ``k0`` (0-based) of the circulant index matrix.  Member 1 (``k0 = 0``)
-    is the DFT matrix itself.
+    is the DFT matrix itself.  ``members`` is a read-only window view.
     """
 
     n: int
-    members: np.ndarray  # (n, n, n) complex; members[k0] is n x n
+    members: np.ndarray  # (n, n, n) complex, read-only; members[k0] is n x n
 
     def member(self, k: int) -> np.ndarray:
         """1-based accessor for family member k (the combiner of device k)."""
@@ -50,10 +51,10 @@ class PermutedDftFamily:
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Per-slot transmit matrices; slot n, column k picks family member k, column n."""
+    """Slot precoders, a read-only view of the family: slot n, column k is member k, column n."""
 
     n: int
-    slots: np.ndarray  # (n, n, n) complex; slots[n0] is the slot-(n0+1) precoder
+    slots: np.ndarray  # (n, n, n) complex, read-only; slots[n0] is the slot-(n0+1) precoder
 
     def slot(self, n: int) -> np.ndarray:
         """1-based accessor for the precoder applied in time slot n."""
@@ -75,29 +76,25 @@ def build_family(n: int) -> PermutedDftFamily:
 
     Member k0 (0-based) is the DFT matrix with its columns rotated right by
     k0, ``members[k0][:, j] = u[:, (j - k0) mod n]``, the order column k0 of
-    the circulant index matrix gives.  Each member is one contiguous slice
-    of the DFT matrix laid twice side by side, written straight into the
-    (k0, antenna, slot) layout: O(n^3) copies and no temporary beyond the
-    output.
+    the circulant index matrix gives.  With ``uu = [u u]`` (n x 2n) that is
+    ``members[k0, p, j] = uu[p, n - k0 + j]``, so ``members`` is a read-only
+    view of ``uu`` built from its sliding n-column windows: O(n^2) in time
+    and memory.
     """
     u = build_dft(n)
-    uu = np.concatenate([u, u], axis=1)
-    members = np.empty((n, n, n), dtype=complex)
-    for k0 in range(n):
-        members[k0] = uu[:, n - k0:2 * n - k0]
-    return PermutedDftFamily(n=n, members=members)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([u, u], axis=1), n, axis=1)
+    return PermutedDftFamily(n=n, members=windows[:, n:0:-1].transpose(1, 0, 2))
 
 
 def build_precoders(family: PermutedDftFamily) -> PrecoderSet:
     """Assemble the per-slot precoders from a permuted-DFT family.
 
     Slot n, column k equals family member k, column n, so restacking the
-    k-th columns across all slots reproduces member k exactly.
+    k-th columns across all slots reproduces member k exactly.  The slots
+    are a read-only transposed view of ``family.members``, with no copy.
     """
-    n = family.n
     # members[k0][:, n0] and slots[n0][:, k0] are the same DFT column.
-    slots = np.ascontiguousarray(np.transpose(family.members, (2, 1, 0)))
-    return PrecoderSet(n=n, slots=slots)
+    return PrecoderSet(n=family.n, slots=family.members.transpose(2, 1, 0))
 
 
 def pairwise_diagonals(family: PermutedDftFamily) -> np.ndarray:
@@ -111,11 +108,13 @@ def pairwise_diagonals(family: PermutedDftFamily) -> np.ndarray:
     omega^(p * (k20 - k0))`` with ``omega = exp(-2i*pi/n)``: row d of an
     n x n table holds ``omega^(p*d)``, read from one table of the n-th
     roots of unity, and pair (k0, k20) takes row ``(k20 - k0) mod n``.
-    That is O(n^3) for the whole tensor, with ``out[k, k]`` exactly 1 and
-    every other row summing to zero.
+    With ``rows2 = [rows; rows]`` that row is ``rows2[n - k0 + k20]``, so the
+    tensor is a read-only view of ``rows2`` whose ``out[k0]`` are C-contiguous
+    windows: O(n^2), with ``out[k, k]`` exactly 1 and other rows summing to 0.
     """
     n = family.n
     p = np.arange(n)
     roots = np.exp(-2j * np.pi * p / n)
     rows = roots[np.outer(p, p) % n]
-    return rows[(p[None, :] - p[:, None]) % n]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rows, rows]), n, axis=0)
+    return windows[n:0:-1].transpose(0, 2, 1)  # windows[s, p, w] = rows2[s + w, p]

@@ -86,14 +86,14 @@ def make_frame(
 
 
 def transmit(precoders: PrecoderSet, frame: Frame) -> np.ndarray:
-    """Apply the slot precoders: row n0 is x_{n0+1} = P_{n0+1} @ s / sqrt(N)."""
+    """Apply the slot precoders: row n0 of the C-ordered (n_slots, n_antennas)
+    result is x_{n0+1} = P_{n0+1} @ s / sqrt(N), whatever the slots' layout."""
     if frame.n != precoders.n:
         raise ValueError(
             f"frame length {frame.n} does not match precoder size {precoders.n}"
         )
     n = precoders.n
-    # slots (n, n, n) @ s -> (n_slots, n_antennas)
-    return np.einsum("npk,k->np", precoders.slots, frame.symbols) / np.sqrt(n)
+    return np.einsum("npk,k->np", precoders.slots, frame.symbols, order="C") / np.sqrt(n)
 
 
 def receive(

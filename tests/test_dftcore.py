@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ def gathered_family_oracle(n):
     return np.ascontiguousarray(np.transpose(u[:, index], (2, 0, 1)))
 
 
+def assert_read_only_window(tensor, n):
+    """The tensor is a read-only view of one table of 2 n^2 entries."""
+    with pytest.raises(ValueError):
+        tensor[...] = 0
+    owner = tensor
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.size == 2 * n * n
+
+
 class TestClosedForms:
     SIZES = (1, 2, 3, 5, 16, 33, 64)
 
@@ -216,14 +227,21 @@ class TestClosedForms:
     def test_members_equal_the_gathered_construction(self, n):
         members = build_family(n).members
         assert np.array_equal(members, gathered_family_oracle(n))
-        assert members.flags.c_contiguous
+        assert_read_only_window(members, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_slots_are_the_transposed_members(self, n):
+        fam = build_family(n)
+        slots = build_precoders(fam).slots
+        assert np.array_equal(slots, np.transpose(gathered_family_oracle(n), (2, 1, 0)))
+        assert_read_only_window(slots, n)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_diagonals_match_the_einsum(self, n):
         fam = build_family(n)
         diags = pairwise_diagonals(fam)
         assert diags.shape == (n, n, n) and diags.dtype == complex
-        assert diags.flags.c_contiguous
+        assert_read_only_window(diags, n)
         np.testing.assert_allclose(diags, einsum_diagonals_oracle(fam.members), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", SIZES)
@@ -238,3 +256,18 @@ class TestClosedForms:
         sums = np.abs(diags.sum(axis=2))
         off = ~np.eye(n, dtype=bool)
         assert np.all(sums[off] <= 1e-12)
+
+
+def test_set_up_memory_is_quadratic():
+    # numpy reports its data buffers to tracemalloc; three written-out
+    # N x N x N tensors would peak near 3 N^3 complex entries
+    n = 130
+    tracemalloc.start()
+    try:
+        fam = build_family(n)
+        build_precoders(fam)
+        pairwise_diagonals(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n * 16

@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 
 from circle_mimo.baselines import WMMSE_MAX_ITERS
 from circle_mimo.cli import main as cli_main
+from circle_mimo.dftcore import PermutedDftFamily, PrecoderSet
 from circle_mimo.harness import (
     KNOWN_METHODS,
     PRESET_NAMES,
     ExperimentConfig,
+    _SweepContext,
     load_config_file,
     preset,
     run_experiment,
     summarize,
     write_csv,
 )
-from conftest import assert_trial_rows_order_free
+from conftest import _comparable, assert_trial_rows_order_free
 
 
 def quick_config(**overrides):
@@ -318,6 +320,21 @@ class TestRunExperiment:
             two = list(run_experiment(cfg))
             assert [r.sum_se_bits_per_use for r in one] == [r.sum_se_bits_per_use for r in two]
             assert_trial_rows_order_free(cfg)
+
+    def test_contiguous_set_up_tensors_give_the_same_rows(self):
+        # the set-up tensors are strided read-only windows; every product on
+        # them must take the path it takes on contiguous copies, bit for bit
+        cfg = replace(preset("fig4d"), sweep_param=None, sweep_values=None, n_devices=30,
+                      n_trials=3, seed=1)
+        assert cfg.csir == "estimated"
+        windows = _SweepContext(cfg, None)
+        copies = _SweepContext(cfg, None)
+        copies.family = PermutedDftFamily(copies.n, np.ascontiguousarray(copies.family.members))
+        copies.precoders = PrecoderSet(copies.n, np.ascontiguousarray(copies.precoders.slots))
+        copies.diagonals = np.ascontiguousarray(copies.diagonals)
+        for trial in range(3):
+            assert ([_comparable(row) for row in windows.run_trial(trial)]
+                    == [_comparable(row) for row in copies.run_trial(trial)])
 
     def test_genie_mode_matches_bound_structure(self):
         cfg = quick_config(csir="genie", methods=("bound", "circle"), n_subcarriers=1,

@@ -86,6 +86,11 @@ class TestTransmit:
             total += float(np.linalg.norm(xs[0]) ** 2)
         assert total / frames == pytest.approx(1.0, rel=0.02)
 
+    def test_rows_are_c_contiguous(self, precoders16):
+        # each row is one receive product's operand; the slots are a strided view
+        xs = transmit(precoders16, make_frame(16, "gaussian", np.random.default_rng(6)))
+        assert xs.shape == (16, 16) and xs.flags.c_contiguous
+
     def test_dimension_mismatch(self):
         pre = build_precoders(build_family(4))
         with pytest.raises(ValueError):
