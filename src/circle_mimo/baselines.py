@@ -98,52 +98,51 @@ def wmmse(
     (N/K)*sqrt(p_t).
 
     Each precoder block is solved exactly by :func:`_solve_unit_ball`: one
-    eigendecomposition, then a few safeguarded Newton steps per beam on its
-    water level, warm-started from the previous outer iteration's levels.
-    The MSE weights divide by the interference-plus-noise power summed
-    directly: 1 - |desired|^2/total cancels to zero, an infinite weight,
-    when the noise is negligible next to the signal.
+    eigendecomposition, then a few monotone Newton steps on all beams' water
+    levels at once, started at max(0, 2 mu_t - mu_{t-1}) from the last two
+    iterations' levels.  The MSE weights divide by the interference-plus-noise
+    power summed directly: 1 - |desired|^2/total cancels to zero, an
+    infinite weight, when the noise is negligible next to the signal.
     """
     if noise.variance <= 0:
         raise ValueError("WMMSE requires a positive noise variance")
     h = np.asarray(channels, dtype=complex)
     k, n = h.shape
-    if amplitude is None:
-        amplitude = (n / k) * math.sqrt(noise.tx_power)
+    amplitude = csit_amplitude(n, k, noise) if amplitude is None else amplitude
     g = amplitude * h  # effective channels under the benchmark signal model
+    gt, gh = g.T, g.conj()  # g_k as columns, g_k^H as rows
     sigma2 = noise.variance
 
-    w = _regularized_inversion(h, k * sigma2 / (amplitude * amplitude))
-    # cross gains: c[k, j] = g_k^H w_j
-    c = g.conj() @ w.T
+    # beams as columns, w[:, k] = w_k; cross gains c[k, j] = g_k^H w_j
+    w = _regularized_inversion(h, k * sigma2 / (amplitude * amplitude)).T
+    c = gh @ w
     sig, rest = _desired_and_rest(c, sigma2)
-    mu = np.zeros(k)
+    mu = mu_prev = np.zeros(k)
     history = []
     converged = False
-    iterations = 0
     for it in range(max_iters):
-        iterations = it + 1
         totals = sig + rest
         u = np.diagonal(c) / totals
         lam = totals / rest  # 1 / MSE
 
         # precoder block: minimize w^H A w - 2 Re(b_k^H w) per beam over the
         # unit ball, A = sum_j lam_j |u_j|^2 g_j g_j^H, b_k = lam_k u_k^* g_k;
-        # one shared eigendecomposition serves every beam's water level.
-        coeffs = lam * np.abs(u) ** 2
-        a = (g.T * coeffs) @ g.conj()
-        b = g.T * (lam * np.conj(u))
-        w, mu = _solve_unit_ball(a, b, mu)
-        w = w.T
+        # one shared eigendecomposition serves every beam's water level, each
+        # warm-started where the last two levels point
+        a = (gt * (lam * np.abs(u) ** 2)) @ gh
+        start = np.maximum(2.0 * mu - mu_prev, 0.0)
+        mu_prev = mu
+        w, mu = _solve_unit_ball(a, gt * (lam * np.conj(u)), start)
 
-        c = g.conj() @ w.T
+        c = gh @ w
         sig, rest = _desired_and_rest(c, sigma2)
-        wsr = float(np.sum(np.log2(1.0 + sig / rest)))
+        wsr = float(np.log2(1.0 + sig / rest).sum())
         history.append(wsr)
         if it > 0 and abs(history[-1] - history[-2]) < tol:
             converged = True
             break
 
+    w = w.T
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     # the evaluation model transmits unit power per device regardless, so a
     # beam left strictly inside the ball is scaled up to the boundary and a
@@ -157,7 +156,7 @@ def wmmse(
         kind="wmmse",
         vectors=vectors,
         converged=converged,
-        iterations=iterations,
+        iterations=len(history),
         wsr_history=np.asarray(history),
     )
 
@@ -169,9 +168,9 @@ def _desired_and_rest(c: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndar
     stays exact however small it is next to the desired power.
     """
     power = np.abs(c) ** 2
-    sig = np.diagonal(power).copy()
-    np.fill_diagonal(power, 0.0)
-    return sig, np.sum(power, axis=1) + sigma2
+    sig = power.diagonal().copy()
+    power.flat[:: power.shape[1] + 1] = 0.0
+    return sig, power.sum(axis=1) + sigma2
 
 
 def _regularized_inversion(h: np.ndarray, reg: float) -> np.ndarray:
@@ -198,52 +197,46 @@ def _solve_unit_ball(
     b_k lies in the range of ``a`` up to roundoff.
 
     In the eigenbasis of ``a``, ||w_k(mu)||^2 = sum_i |bt_ik|^2/(l_i + mu)^2
-    with bt = V^H b, so ||w_k(mu)|| <= ||bt_k||/mu and the root of the
-    secular equation ||w_k(mu)|| = 1 lies in [0, ||bt_k||].  Each beam whose
-    unconstrained solution leaves the ball takes Newton steps on
-    1/||w_k(mu)|| = 1 (Moré & Sorensen 1983), mu <- mu + (||p||^2/||q||^2)
-    (||p|| - 1) with ||q||^2 = sum_i |bt_ik|^2/(l_i + mu)^3; a step that
-    leaves the current bracket is replaced by a bisection step.  As
-    1/||w_k(mu)|| is concave in mu, the steps approach the root
-    monotonically once below it.  ``mu0`` warm-starts each beam where it
-    lies inside the bracket; otherwise a beam starts at mu = 0.  A beam
-    stops once | ||w_k|| - 1 | <= _NEWTON_TOL; one still open after
-    _NEWTON_STEPS steps takes the upper end of its bracket, where
-    ||w_k|| <= 1.
+    with bt = V^H b, so ||w_k(mu)|| < ||bt_k||/mu and the root of the
+    secular equation ||w_k(mu)|| = 1 lies in (0, ||bt_k||).  The beams whose
+    unconstrained solution leaves the ball take Newton steps together on
+    1/||w_k(mu)|| = 1 (Moré & Sorensen 1983), mu <- max(0, mu + (||p||^2 /
+    ||q||^2)(||p|| - 1)) with ||p|| = ||w_k(mu)||, ||q||^2 = sum_i
+    |bt_ik|^2/(l_i + mu)^3.  No bracket is needed: 1/||w_k(mu)|| is concave
+    and increasing, so a step from below the root stays below it and rises
+    monotonically, and a step from above lands below it (or at 0) at once.
+    ``mu0`` warm-starts each beam where it lies in (0, ||bt_k||), else at 0.
+    The steps stop once every beam has | ||w_k|| - 1 | <= _NEWTON_TOL; after
+    _NEWTON_STEPS steps a beam still outside it takes ||bt_k||, where
+    ||w_k|| < 1, and the others keep their last evaluated level.
     """
     vals, vecs = np.linalg.eigh(a)
-    keep = vals > max(vals[-1], 0.0) * 1e-12
-    vals, vecs = vals[keep], vecs[:, keep]
+    # eigh's values ascend, so the numerical range is a trailing slice
+    rank0 = vals.searchsorted(max(vals[-1], 0.0) * 1e-12, side="right")
+    vals, vecs = vals[rank0:, None], vecs[:, rank0:]
     bt = vecs.conj().T @ b
     weights = np.abs(bt) ** 2  # (rank, K)
 
     mu = np.zeros(bt.shape[1])
-    beams = np.flatnonzero(np.sum(weights / vals[:, None] ** 2, axis=0) > 1.0)
-    wt = weights[:, beams]
-    lo = np.zeros(beams.size)
-    hi = np.sqrt(np.sum(wt, axis=0))
-    x = np.zeros(beams.size) if mu0 is None else mu0[beams]
-    x = np.where((x > lo) & (x < hi), x, lo)
-    for _ in range(_NEWTON_STEPS):
-        if beams.size == 0:
-            break
-        inv = 1.0 / (vals[:, None] + x)
-        terms = wt * inv**2
-        p2 = terms.sum(axis=0)
-        q2 = (terms * inv).sum(axis=0)
-        p = np.sqrt(p2)
-        outside = p > 1.0
-        lo = np.where(outside, x, lo)
-        hi = np.where(outside, hi, x)
-        step = x + (p2 / q2) * (p - 1.0)
-        x_next = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        done = np.abs(p - 1.0) <= _NEWTON_TOL
-        mu[beams[done]] = x[done]
-        open_ = ~done
-        beams, wt, lo, hi, x = beams[open_], wt[:, open_], lo[open_], hi[open_], x_next[open_]
-    mu[beams] = hi
+    beams = ((weights / vals**2).sum(axis=0) > 1.0).nonzero()[0]
+    if beams.size:
+        wt = weights[:, beams]
+        hi = np.sqrt(wt.sum(axis=0))
+        x = np.zeros(beams.size) if mu0 is None else mu0[beams]
+        x = np.where((x > 0.0) & (x < hi), x, 0.0)
+        for _ in range(_NEWTON_STEPS):
+            inv = 1.0 / (vals + x)
+            terms = wt * inv**2
+            p2 = terms.sum(axis=0)
+            excess = np.sqrt(p2) - 1.0  # ||w_k(x)|| - 1
+            if np.abs(excess).max() <= _NEWTON_TOL:
+                break
+            level, x = x, np.maximum(x + p2 / (terms * inv).sum(axis=0) * excess, 0.0)
+        else:
+            x = np.where(np.abs(excess) <= _NEWTON_TOL, level, hi)
+        mu[beams] = x
 
-    return vecs @ (bt / (vals[:, None] + mu)), mu
+    return vecs @ (bt / (vals + mu)), mu
 
 
 def csit_amplitude(

@@ -395,6 +395,7 @@ class _SweepContext:
             return per_dev, q_star, self.psi, ()
 
         # full-CSIT benchmarks, one precoder per subcarrier
+        amp = baselines.csit_amplitude(self.n, self.k_devices, self.noise, cfg.csit_normalization)
         precoders = []
         for m0 in range(cfg.n_subcarriers):
             h_m = h_true[:, m0, :]
@@ -403,9 +404,6 @@ class _SweepContext:
             elif method == "zf":
                 precoders.append(baselines.zf(h_m))
             elif method == "wmmse":
-                amp = baselines.csit_amplitude(
-                    self.n, self.k_devices, self.noise, cfg.csit_normalization
-                )
                 precoders.append(baselines.wmmse(h_m, self.noise, amplitude=amp))
             else:
                 raise ValueError(f"unknown method {method!r}")

@@ -1,7 +1,9 @@
+import json
 import math
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from circle_mimo.baselines import (
     zf,
 )
 from circle_mimo.channel import ArrayGeometry, ChannelProfile, NoiseModel, sample_channel
-from circle_mimo.harness import _SweepContext, preset, run_experiment
+from circle_mimo.harness import _SweepContext, preset, run_experiment, write_csv
 from oracle import key_rng
 
+DATA = Path(__file__).with_name("data")
 GEOM = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9)
 NOISE = NoiseModel(variance=0.1, tx_power=1.0)
 
@@ -190,6 +193,38 @@ class TestWmmse:
         assert tw >= tz
 
 
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_trajectory_matches_the_recorded_one(trial):
+    # fig5 K = 30, N = 32 draws at one subcarrier: two stop at the cap, one
+    # converges; iterations, converged and the weighted sum rates were
+    # recorded from the bracketed Newton solve that the monotone one replaced
+    cfg = replace(
+        preset("fig5"), sweep_param=None, sweep_values=None, n_devices=30,
+        n_subcarriers=1, cp_len=0, bandwidth_hz=0.0,
+    )
+    ctx = _SweepContext(cfg, None)
+    h = np.stack([
+        sample_channel(ctx.geometry, k, key_rng(cfg.seed, trial, k), ctx.profile).h[0]
+        for k in range(1, 31)
+    ])
+    want = json.loads((DATA / "wmmse_k30_trajectories.json").read_text())[str(trial)]
+    pre = wmmse(h, ctx.noise)
+    assert pre.iterations == want["iterations"]
+    assert pre.converged == want["converged"]
+    np.testing.assert_allclose(pre.wsr_history, want["wsr_history"], rtol=0, atol=1e-9)
+
+
+def test_small_fig5_run_reproduces_the_golden_csv(tmp_path):
+    # tests/data/fig5_k10_seed11.csv holds bound, r-circle, wmmse, zf and mrt
+    # rows, written by the bracketed Newton solve with this exact config
+    config = replace(
+        preset("fig5"), sweep_param=None, sweep_values=None, n_devices=10, n_trials=2, seed=11
+    )
+    out = tmp_path / "fig5.csv"
+    write_csv(run_experiment(config), out)
+    assert out.read_bytes() == (DATA / "fig5_k10_seed11.csv").read_bytes()
+
+
 def bisection_oracle(a, b):
     """Reference unit-ball solve: water levels bisected for a fixed 100 steps.
 
@@ -285,12 +320,28 @@ class TestSolveUnitBall:
         assert np.all(warm_mu[inside] == 0)
 
     def test_iteration_cap_leaves_beams_feasible(self, monkeypatch):
-        # a beam still open at the cap takes the feasible end of its bracket
-        monkeypatch.setattr(baselines, "_NEWTON_STEPS", 2)
+        # a beam still open at the cap takes ||bt_k||, where it is feasible
         a, b, _ = block_problem(7)
+        levels = _solve_unit_ball(a, b)[1]
+        monkeypatch.setattr(baselines, "_NEWTON_STEPS", 2)
         w, mu = _solve_unit_ball(a, b)
         assert np.all(np.linalg.norm(w, axis=0) <= 1 + 1e-12)
         assert np.all(mu >= 0)
+        assert np.any(mu != levels)  # the cap cut some beams short
+        # a beam within the tolerance at the cap keeps its level: started at
+        # the uncapped levels, every beam is within it at once
+        assert np.array_equal(_solve_unit_ball(a, b, levels)[1], levels)
+        # with half the beams started there and half cold, the cold ones are
+        # still open at the cap and take ||bt_k||, strictly inside the ball,
+        # while the warm ones keep a level within the tolerance
+        warm = np.arange(levels.size) % 2 == 0
+        w, mu = _solve_unit_ball(a, b, np.where(warm, levels, 0.0))
+        norms = np.linalg.norm(w, axis=0)
+        outside = levels > 0
+        assert np.any(norms[outside & ~warm] < 1 - 1e-6)
+        np.testing.assert_allclose(mu[warm], levels[warm], rtol=1e-12, atol=0)
+        assert np.all(np.abs(norms[outside & warm] - 1) <= 1e-12)
+        assert np.all(norms <= 1 + 1e-12)
 
     def test_zero_matrix_gives_zero_beams(self):
         w, mu = _solve_unit_ball(np.zeros((4, 4), dtype=complex), np.ones((4, 2), dtype=complex))

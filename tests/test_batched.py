@@ -163,6 +163,24 @@ class TestSweepScores:
             sweep_scores(ys, FAM, CB.tables(ArrayGeometry(N, 100e9)),
                          np.array([[1.0, 0.0]]), NoiseModel(), SINR_CAP)
 
+    def test_sweeps_share_the_family_combiners(self):
+        # members N-1 and N are conjugated and stacked once per family, not
+        # once per sweep
+        fam = build_family(N)
+        rng = np.random.default_rng(6)
+        noise = NoiseModel(variance=0.1)
+        pilots = np.ones((2, 2), dtype=complex)
+        geom, blocks = device_blocks(rng, 2, noise, pilots)
+        ys = np.stack([b.y for b in blocks])
+        first = sweep_scores(ys, fam, CB.tables(geom), pilots, noise, SINR_CAP)
+        combiners = fam.combiners
+        second = sweep_scores(ys, fam, CB.tables(geom), pilots, noise, SINR_CAP)
+        assert fam.combiners is combiners
+        assert not combiners.flags.writeable
+        assert np.array_equal(combiners, np.conj(fam.members[N - 2 :]).reshape(2 * N, N))
+        for got, want in zip(second, first, strict=True):
+            assert np.array_equal(got, want)
+
 
 def same_result(a, b):
     return (
