@@ -3,8 +3,7 @@
 The benchmarks transmit one unit-norm beam per device; the received-signal
 model scales every beam by (N/K)*sqrt(p_t), an amplitude normalization that
 credits the benchmarks with the pilot overhead the deterministic scheme
-spends.  A power-based reading (sqrt(N/K)) is selectable for sensitivity
-checks.
+spends.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class SingularChannelError(ValueError):
 class CsitPrecoder:
     """Per-device unit-norm beams, rows of ``vectors`` (K, N)."""
 
-    kind: str
     vectors: np.ndarray
     converged: bool = True
     iterations: int = 0
@@ -51,7 +49,7 @@ def mrt(channels: np.ndarray) -> CsitPrecoder:
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise SingularChannelError("zero channel vector")
-    return CsitPrecoder(kind="mrt", vectors=h / norms)
+    return CsitPrecoder(vectors=h / norms)
 
 
 def zf(channels: np.ndarray) -> CsitPrecoder:
@@ -72,7 +70,7 @@ def zf(channels: np.ndarray) -> CsitPrecoder:
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise SingularChannelError("zero channel vector")
-    return CsitPrecoder(kind="zf", vectors=vectors / norms)
+    return CsitPrecoder(vectors=vectors / norms)
 
 
 def wmmse(
@@ -80,7 +78,6 @@ def wmmse(
     noise: NoiseModel,
     max_iters: int = WMMSE_MAX_ITERS,
     tol: float = 1e-4,
-    amplitude: float | None = None,
 ) -> CsitPrecoder:
     """Weighted-MMSE beams via alternating receiver/weight/precoder updates.
 
@@ -93,9 +90,8 @@ def wmmse(
     coincide with MRT; a matched-beam start converges to stationary points
     below plain zero forcing when the array is much larger than the device
     count.  The weighted sum rate of the iterates is nondecreasing and
-    iteration stops once its change drops below ``tol``.  ``amplitude`` is
-    the common beam amplitude of the received-signal model and defaults to
-    (N/K)*sqrt(p_t).
+    iteration stops once its change drops below ``tol``.  The channels are
+    scaled by the common beam amplitude of :func:`csit_amplitude`.
 
     Each precoder block is solved exactly by :func:`_solve_unit_ball`: one
     eigendecomposition, then a few monotone Newton steps on all beams' water
@@ -108,7 +104,7 @@ def wmmse(
         raise ValueError("WMMSE requires a positive noise variance")
     h = np.asarray(channels, dtype=complex)
     k, n = h.shape
-    amplitude = csit_amplitude(n, k, noise) if amplitude is None else amplitude
+    amplitude = csit_amplitude(n, k, noise)
     g = amplitude * h  # effective channels under the benchmark signal model
     gt, gh = g.T, g.conj()  # g_k as columns, g_k^H as rows
     sigma2 = noise.variance
@@ -153,7 +149,6 @@ def wmmse(
         norms = np.linalg.norm(w, axis=1, keepdims=True)
     vectors = w / norms
     return CsitPrecoder(
-        kind="wmmse",
         vectors=vectors,
         converged=converged,
         iterations=len(history),
@@ -239,15 +234,9 @@ def _solve_unit_ball(
     return vecs @ (bt / (vals + mu)), mu
 
 
-def csit_amplitude(
-    n: int, k: int, noise: NoiseModel, normalization: str = "amplitude"
-) -> float:
-    """Common beam amplitude of the benchmark received-signal model."""
-    if normalization == "amplitude":
-        return (n / k) * math.sqrt(noise.tx_power)
-    if normalization == "power":
-        return math.sqrt((n / k) * noise.tx_power)
-    raise ValueError(f"unknown csit normalization {normalization!r}")
+def csit_amplitude(n: int, k: int, noise: NoiseModel) -> float:
+    """Common beam amplitude (N/K)*sqrt(p_t) of the benchmark received-signal model."""
+    return (n / k) * math.sqrt(noise.tx_power)
 
 
 def per_device_csit_se(
@@ -255,7 +244,6 @@ def per_device_csit_se(
     channels: np.ndarray,
     noise: NoiseModel,
     geometry: ArrayGeometry,
-    normalization: str = "amplitude",
 ) -> np.ndarray:
     """Per-device benchmark SE, shape (K,), with the cyclic-prefix penalty.
 
@@ -269,7 +257,7 @@ def per_device_csit_se(
     k_dev, mm, n = channels.shape
     if len(precoders) != mm:
         raise ValueError("one precoder per subcarrier required")
-    amp = csit_amplitude(n, k_dev, noise, normalization)
+    amp = csit_amplitude(n, k_dev, noise)
     out = np.zeros(k_dev)
     for m0 in range(mm):
         f = precoders[m0].vectors  # (K, N)

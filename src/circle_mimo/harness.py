@@ -93,7 +93,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple[str, ...] = ("bound", "circle", "r-circle")
     symbol_source: str = "gaussian"
-    csit_normalization: str = "amplitude"
     csir: str = "estimated"
     sinr_cap: float = SINR_CAP
     sweep_param: str | None = None
@@ -145,8 +144,6 @@ class ExperimentConfig:
             raise ValueError("q_levels must be at least 1")
         if self.symbol_source not in ("gaussian", "qpsk"):
             raise ValueError(f"unknown symbol_source {self.symbol_source!r}")
-        if self.csit_normalization not in ("amplitude", "power"):
-            raise ValueError(f"unknown csit_normalization {self.csit_normalization!r}")
         if self.csir not in ("genie", "estimated"):
             raise ValueError(f"unknown csir mode {self.csir!r}")
         if not self.sinr_cap > 0:
@@ -395,7 +392,6 @@ class _SweepContext:
             return per_dev, q_star, self.psi, ()
 
         # full-CSIT benchmarks, one precoder per subcarrier
-        amp = baselines.csit_amplitude(self.n, self.k_devices, self.noise, cfg.csit_normalization)
         precoders = []
         for m0 in range(cfg.n_subcarriers):
             h_m = h_true[:, m0, :]
@@ -404,12 +400,10 @@ class _SweepContext:
             elif method == "zf":
                 precoders.append(baselines.zf(h_m))
             elif method == "wmmse":
-                precoders.append(baselines.wmmse(h_m, self.noise, amplitude=amp))
+                precoders.append(baselines.wmmse(h_m, self.noise))
             else:
                 raise ValueError(f"unknown method {method!r}")
-        per_dev = baselines.per_device_csit_se(
-            precoders, h_true, self.noise, self.geometry, cfg.csit_normalization
-        )
+        per_dev = baselines.per_device_csit_se(precoders, h_true, self.noise, self.geometry)
         return per_dev, (), 0, precoders if method == "wmmse" else ()
 
     def _estimate(self, blocks, frames):
@@ -520,7 +514,7 @@ def summarize(results: Iterable[TrialResult]) -> list[dict]:
     return out
 
 
-_STR_FIELDS = {"symbol_source", "csit_normalization", "csir", "sweep_param"}
+_STR_FIELDS = {"symbol_source", "csir", "sweep_param"}
 # the fields whose None has a meaning: follow K + 2, the other power spec, no sweep
 _OPTIONAL_FIELDS = {"n_antennas", "snr_db", "p_t_db", "sweep_param", "sweep_values"}
 _INT_FIELDS = {
@@ -535,9 +529,11 @@ def load_config_file(path) -> ExperimentConfig:
     Lists (methods, sweep_values) are comma separated; ``#`` starts a
     comment; the literal ``none`` clears an optional field (n_antennas,
     snr_db, p_t_db, sweep_param, sweep_values).  A value that does not parse
-    for its key raises ValueError naming the file, line and key.
+    for its key raises ValueError naming the file, line and key; so does a
+    key set twice, naming both lines.
     """
     values: dict = {}
+    lines: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -550,6 +546,9 @@ def load_config_file(path) -> ExperimentConfig:
             text = text.strip()
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key}: already set on line {lines[key]}")
+            lines[key] = lineno
             try:
                 values[key] = _parse_value(key, text)
             except ValueError as exc:

@@ -8,8 +8,8 @@ is built on that decomposition.
 
 Two SINR normalizations coexist on purpose.  The narrowband maximum divides
 the channel gain by N*sigma^2 while the wideband per-subcarrier maximum
-divides by sigma^2 only; both are exposed (see :func:`per_device_max_se`)
-and the harness picks per mode.  Neither is silently corrected.
+divides by sigma^2 only; :func:`per_device_max_se` picks one from the
+geometry.  Neither is silently corrected.
 """
 
 from __future__ import annotations
@@ -46,45 +46,29 @@ def inverse_channel(h: np.ndarray) -> np.ndarray:
     return 1.0 / h.conj()
 
 
-def per_device_max_se(
-    channels: np.ndarray,
-    noise: NoiseModel,
-    geometry,
-    kind: str | None = None,
-) -> np.ndarray:
+def per_device_max_se(channels: np.ndarray, noise: NoiseModel, geometry) -> np.ndarray:
     """Per-device maximum spectral efficiency, shape (K,).
 
-    ``channels`` has shape (K, M, N).  kind "narrowband-bound" uses
-    log2(1 + p_t*||h||^2/(N*sigma^2)) and requires M = 1; kind
-    "wideband-bound" uses log2(1 + p_t*||h||^2/sigma^2) per subcarrier with
-    the 1/(M + L_cp) cyclic-prefix penalty.  Default picks by geometry.
-    The two coexisting normalizations (the extra N divisor) are deliberate;
-    see the module docstring.  kind "combining-bound" applies the N-divided
-    SINR per subcarrier with the cyclic-prefix penalty; it is the ceiling
-    the combining scheme itself can reach and is what the estimated scheme
-    converges to as power and codebook resolution grow.
+    ``channels`` has shape (K, M, N).  A narrowband geometry (one subcarrier,
+    zero bandwidth) uses log2(1 + p_t*||h||^2/(N*sigma^2)); a wideband one
+    uses log2(1 + p_t*||h||^2/sigma^2) per subcarrier with the 1/(M + L_cp)
+    cyclic-prefix penalty.  The two coexisting normalizations (the extra N
+    divisor) are deliberate; see the module docstring.
     """
     channels = np.asarray(channels)
     if channels.ndim != 3:
         raise ValueError("channels must have shape (K, M, N)")
     if noise.variance <= 0:
         raise ValueError("maximum SE requires a positive noise variance")
-    if kind is None:
-        kind = "narrowband-bound" if geometry.is_narrowband else "wideband-bound"
     k_dev, mm, n = channels.shape
     gains = np.sum(np.abs(channels) ** 2, axis=2)  # (K, M)
-    if kind == "narrowband-bound":
+    if geometry.is_narrowband:
         if mm != 1:
-            raise ValueError("narrowband-bound applies to a single subcarrier")
+            raise ValueError("a narrowband geometry has a single subcarrier")
         sinr = noise.tx_power * gains[:, 0] / (n * noise.variance)
         return np.log2(1.0 + sinr)
-    if kind == "wideband-bound":
-        sinr = noise.tx_power * gains / noise.variance
-        return np.sum(np.log2(1.0 + sinr), axis=1) / (mm + geometry.cp_len)
-    if kind == "combining-bound":
-        sinr = noise.tx_power * gains / (n * noise.variance)
-        return np.sum(np.log2(1.0 + sinr), axis=1) / (mm + geometry.cp_len)
-    raise ValueError(f"unknown bound kind {kind!r}")
+    sinr = noise.tx_power * gains / noise.variance
+    return np.sum(np.log2(1.0 + sinr), axis=1) / (mm + geometry.cp_len)
 
 
 def per_device_achieved_se(

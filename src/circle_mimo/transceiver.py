@@ -31,10 +31,6 @@ class Frame:
         return self.symbols.shape[0]
 
     @property
-    def info(self) -> np.ndarray:
-        return self.symbols[: self.n - 2]
-
-    @property
     def pilot1(self) -> complex:
         """Pilot in slot N-1 (used for gain estimation)."""
         return complex(self.symbols[-2])
@@ -47,21 +43,17 @@ class Frame:
 
 @dataclass(frozen=True)
 class ReceivedBlock:
-    """Concatenated receive samples of one device over the N time slots.
-
-    The noise realization is retained so noiseless oracles can subtract it.
-    """
+    """Concatenated receive samples of one device over the N time slots."""
 
     device: int
     subcarrier: int
-    y: np.ndarray                  # (N,) complex
-    noise_realization: np.ndarray  # (N,) complex
+    y: np.ndarray  # (N,) complex
 
 
 def make_frame(
     n: int,
-    source: str = "gaussian",
-    rng: np.random.Generator | None = None,
+    source: str,
+    rng: np.random.Generator,
     pilot_values: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j),
 ) -> Frame:
     """Draw K = n - 2 unit-power information symbols and append the pilots.
@@ -72,8 +64,6 @@ def make_frame(
     """
     if n < 3:
         raise ValueError(f"frame size must be at least 3 (2 pilots + 1 symbol), got {n}")
-    if rng is None:
-        rng = np.random.default_rng()
     k = n - 2
     if source == "qpsk":
         info = QPSK_POINTS[rng.integers(0, 4, size=k)]
@@ -100,7 +90,7 @@ def receive(
     channel: ChannelRealization,
     xs: np.ndarray,
     noise: NoiseModel,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     m: int = 1,
 ) -> ReceivedBlock:
     """Synthesize one device's received block on subcarrier m.
@@ -112,8 +102,6 @@ def receive(
     h = channel.subcarrier(m)
     if xs.shape[1] != h.shape[0]:
         raise ValueError("transmit vectors and channel dimension mismatch")
-    if rng is None:
-        rng = np.random.default_rng()
     n_slots = xs.shape[0]
     re = rng.standard_normal(n_slots)
     im = rng.standard_normal(n_slots)
@@ -125,4 +113,4 @@ def receive(
     y = xs @ h.conj()
     y *= np.sqrt(noise.tx_power)
     y += z
-    return ReceivedBlock(device=channel.device, subcarrier=m, y=y, noise_realization=z)
+    return ReceivedBlock(device=channel.device, subcarrier=m, y=y)

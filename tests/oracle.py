@@ -6,9 +6,12 @@ The simulator evaluates each quantity here once, in batched code:
 ``seeding.seed_words``.  This module writes each as one plain formula for
 one device, one candidate or one pair of family members, built from
 ``family.member(k)`` products and never from the batched code, so the
-tests can hold that code to something it does not share.  ``snr_db`` is
-the received SNR of one realization, whose ensemble mean in linear scale
-the config field of that name sets; the simulator never evaluates it.
+tests can hold that code to something it does not share.  The simulator
+never evaluates two of them: ``snr_db``, the received SNR of one
+realization, whose ensemble mean in linear scale the config field of that
+name sets, and ``combining_ceiling``, the yardstick of the estimated
+scheme.  ``receiver_noise`` repeats ``transceiver.receive``'s draw, so a
+test can rebuild a block's noise from a generator seeded the same way.
 Device, member and slot indices are 1-based, as in the paper.
 """
 
@@ -22,6 +25,14 @@ from circle_mimo.receiver import SINR_CAP, inverse_channel
 def key_rng(seed: int, *key: int) -> np.random.Generator:
     """The generator of one spawn key, built on its own."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def receiver_noise(rng, n: int, noise) -> np.ndarray:
+    """The noise ``transceiver.receive`` adds when given ``rng``: n real
+    normals, then n imaginary ones, both times sqrt(sigma^2/2)."""
+    scale = math.sqrt(noise.variance / 2.0)
+    re = scale * rng.standard_normal(n)
+    return re + 1j * (scale * rng.standard_normal(n))
 
 
 def circulant_index(n: int) -> np.ndarray:
@@ -111,6 +122,17 @@ def sinr_bound(h, noise) -> float:
     if noise.variance <= 0:
         raise ValueError("SINR bound requires a positive noise variance")
     return noise.tx_power * float(np.sum(np.abs(h) ** 2)) / (len(h) * noise.variance)
+
+
+def combining_ceiling(h, noise, geometry) -> float:
+    """SE ceiling of the combining scheme for one device's (M, N) channel.
+
+    The N-divided SINR of :func:`sinr_bound` on each subcarrier, the rates
+    summed with the 1/(M + L_cp) cyclic-prefix penalty.  The estimated scheme
+    approaches it as power and codebook resolution grow.
+    """
+    rates = [math.log2(1.0 + sinr_bound(row, noise)) for row in h]
+    return sum(rates) / (len(rates) + geometry.cp_len)
 
 
 def achieved_sinr(h_hat, h_true, family, k: int, noise) -> float:

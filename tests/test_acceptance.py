@@ -17,6 +17,7 @@ from circle_mimo.transceiver import QPSK_POINTS
 from conftest import assert_trial_rows_order_free, los_channel, random_channel_vector
 from oracle import (
     achieved_sinr,
+    combining_ceiling,
     desired_gain,
     detect_qpsk,
     exact_sinr,
@@ -24,6 +25,7 @@ from oracle import (
     pairwise_product,
     sinr_bound,
 )
+from stats import paired, sum_se
 
 
 def report(num: int, text: str) -> None:
@@ -249,7 +251,7 @@ def test_criterion_07_resolution_trend():
             achieved_total += np.sum(
                 cm.per_device_achieved_se(h_hat, h_true, fam, noise, geom, diagonals)
             )
-            bound_total += np.sum(cm.per_device_max_se(h_true, noise, geom, kind="combining-bound"))
+            bound_total += sum(combining_ceiling(h, noise, geom) for h in h_true)
         ratios[q_levels] = achieved_total / bound_total
     elapsed = time.perf_counter() - t0
     assert ratios[64] <= ratios[256] <= ratios[1024]
@@ -288,28 +290,38 @@ def device_sweep_results():
         sweep_values=(10, 20, 30),
     )
     rows = list(cm.run_experiment(cfg))
-    return {(r["method"], r["sweep_value"]): r["mean_sum_se"] for r in cm.summarize(rows)}
+    means = {(r["method"], r["sweep_value"]): r["mean_sum_se"] for r in cm.summarize(rows)}
+    return rows, means
+
+
+def paired_report(rows, a: str, b: str) -> str:
+    """Per K: the paired mean of b - a, its z and the smallest per-trial difference."""
+    diffs = paired(sum_se(rows, a), sum_se(rows, b))
+    return "; ".join(f"K={k}: {d.mean:+.2f} (z {d.z:.1f}, min {d.smallest:+.2f})"
+                     for k, d in diffs.items())
 
 
 def test_criterion_09_joint_vs_per_subcarrier(device_sweep_results):
-    means = device_sweep_results
+    rows, means = device_sweep_results
     for k in (10, 20, 30):
         assert means[("r-circle", k)] >= means[("circle", k)]
     pairs = ", ".join(
         f"K={k}: {means[('r-circle', k)]:.2f} vs {means[('circle', k)]:.2f}"
         for k in (10, 20, 30)
     )
-    report(9, f"joint >= per-subcarrier estimation at every K ({pairs})")
+    report(9, f"joint >= per-subcarrier estimation at every K ({pairs}); "
+              f"paired r-circle - circle {paired_report(rows, 'circle', 'r-circle')}")
 
 
 def test_criterion_10_device_scaling(device_sweep_results):
-    means = device_sweep_results
+    rows, means = device_sweep_results
     rc = [means[("r-circle", k)] for k in (10, 20, 30)]
     mr = [means[("mrt", k)] for k in (10, 20, 30)]
     assert rc[0] < rc[1] < rc[2]
     assert mr[2] - mr[1] < rc[2] - rc[1]
     report(10, f"joint scheme grows {rc[2] - rc[1]:.2f} bits from K=20 to 30, "
-               f"MRT only {mr[2] - mr[1]:.2f}")
+               f"MRT only {mr[2] - mr[1]:.2f}; "
+               f"paired r-circle - circle {paired_report(rows, 'circle', 'r-circle')}")
 
 
 # ---------------------------------------------------------------------------

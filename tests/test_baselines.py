@@ -377,13 +377,8 @@ class TestCsitSumSe:
             math.sqrt(2.0)
         )
 
-    def test_power_normalization_option(self):
-        amp_a = csit_amplitude(8, 2, NOISE, "amplitude")
-        amp_p = csit_amplitude(8, 2, NOISE, "power")
-        assert amp_a == pytest.approx(4.0)
-        assert amp_p == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            csit_amplitude(8, 2, NOISE, "bogus")
+    def test_amplitude_is_n_over_k_root_power(self):
+        assert csit_amplitude(8, 2, NOISE) == pytest.approx(4.0)
 
     def test_wideband_prefactor(self):
         geom = ArrayGeometry(

@@ -383,8 +383,7 @@ class TestFoldedSweep:
         cb = make_codebook(64, 0.0, 2 * math.pi)
         mm = 2
         geom = ArrayGeometry(N, 100e9, 10e9, n_subcarriers=mm, cp_len=1)
-        blocks = [ReceivedBlock(1, m0 + 1, np.zeros(N, complex), np.zeros(N, complex))
-                  for m0 in range(mm)]
+        blocks = [ReceivedBlock(1, m0 + 1, np.zeros(N, complex)) for m0 in range(mm)]
         rng = np.random.default_rng(8)
         scores = rng.uniform(0.0, 1.0, (mm, cb.distinct.size))
         scores[:, list(cols)] = 2.0
@@ -405,7 +404,7 @@ class TestFoldedSweep:
     def test_searches_reject_rows_of_another_fold(self):
         cb = make_codebook(64, 0.0, 2 * math.pi)  # 33 distinct sines
         geom = ArrayGeometry(N, 100e9)
-        block = ReceivedBlock(1, 1, np.zeros(N, complex), np.zeros(N, complex))
+        block = ReceivedBlock(1, 1, np.zeros(N, complex))
         grid_rows = (np.zeros(64), np.zeros(64, complex))  # one column per grid index
         widths = "33 distinct sines, got rows of width 64 and tables of width 33"
         with pytest.raises(ValueError, match=widths):

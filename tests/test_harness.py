@@ -573,10 +573,11 @@ class TestCli:
         assert "wmmse" not in capsys.readouterr().err
 
 
-# config-file values that used to reach validate() as None, or an empty method list
+# config-file values that used to reach validate() as None, an empty method
+# list, and a key the file already set (n_devices, on line 1)
 BAD_CONFIG_LINES = [
     "rho = none", "sinr_cap = none", "sigma2_db = none", "delta2_db = none",
-    "methods = none", "methods =",
+    "methods = none", "methods =", "n_devices = 6",
 ]
 
 
@@ -628,6 +629,12 @@ class TestConfigFileValues:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == "" and not out.exists()
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path, _ = self.write(tmp_path, "n_trials = 3")
+        with pytest.raises(ValueError) as err:
+            load_config_file(path)
+        assert str(err.value) == f"{path}:3: n_trials: already set on line 2"
 
     def test_unparsable_number_names_file_line_and_key(self, tmp_path):
         path, _ = self.write(tmp_path, "n_nlos = three")

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from circle_mimo.channel import (
     sample_channel,
 )
 from circle_mimo.dftcore import build_family
+from circle_mimo.harness import preset, run_experiment, write_csv
 from circle_mimo.receiver import (
     DegenerateChannelError,
     inverse_channel,
@@ -22,11 +25,13 @@ from conftest import los_channel, random_channel_vector
 from oracle import (
     achieved_sinr,
     combine,
+    combining_ceiling,
     decompose_combined,
     desired_gain,
     estimated_sinr,
     exact_sinr,
     interference_gain,
+    receiver_noise,
     se_bits,
     sinr_bound,
 )
@@ -129,11 +134,10 @@ class TestDecomposition:
         noise = NoiseModel(variance=0.4, tx_power=1.7)
         ch = sample_channel(GEOM16, 1, rng, ChannelProfile(nlos_var=0.2, n_nlos=2))
         frame = make_frame(16, "gaussian", rng)
-        block = receive(ch, transmit(precoders16, frame), noise, rng)
+        block = receive(ch, transmit(precoders16, frame), noise, np.random.default_rng(60))
         h_hat = los_channel(GEOM16, 0.9, 0.4).h[0]
-        value, _ = decompose_combined(
-            h_hat, ch.h[0], family16, 7, frame.symbols, noise, block.noise_realization
-        )
+        z = receiver_noise(np.random.default_rng(60), 16, noise)
+        value, _ = decompose_combined(h_hat, ch.h[0], family16, 7, frame.symbols, noise, z)
         direct = combine(h_hat, family16, 7, block.y)
         assert abs(value - direct) < 1e-9 * max(1.0, abs(direct))
 
@@ -297,8 +301,7 @@ class TestSumSe:
         )
         h = np.ones((1, 2, 4), dtype=complex)
         want = (math.log2(1 + 1.0) * 2) / (2 + 3)
-        got = np.sum(per_device_max_se(h, self.NOISE, geom, kind="combining-bound"))
-        assert got == pytest.approx(want)
+        assert combining_ceiling(h[0], self.NOISE, geom) == pytest.approx(want)
 
     def test_monotone_in_channel_power(self):
         geom = ArrayGeometry(n_antennas=8, carrier_freq_hz=1e9)
@@ -316,7 +319,7 @@ class TestSumSe:
         )
         noise = NoiseModel(variance=0.1, tx_power=1.0)
         achieved = np.sum(per_device_achieved_se(chans, chans, family16, noise, geom))
-        bound = np.sum(per_device_max_se(chans, noise, geom, kind="narrowband-bound"))
+        bound = np.sum(per_device_max_se(chans, noise, geom))
         assert achieved == pytest.approx(bound, rel=1e-9)
 
     def test_full_csir_within_two_percent_of_bound_at_10db(self, family16):
@@ -332,12 +335,20 @@ class TestSumSe:
                              rng.uniform(0, 2 * math.pi)).h for _ in range(30)]
             )
             tot_a += np.sum(per_device_achieved_se(chans, chans, fam32, noise, geom))
-            tot_b += np.sum(per_device_max_se(chans, noise, geom, kind="narrowband-bound"))
+            tot_b += np.sum(per_device_max_se(chans, noise, geom))
         assert tot_a / tot_b > 0.98
 
-    def test_narrowband_kind_requires_single_subcarrier(self):
-        geom = ArrayGeometry(
-            n_antennas=4, carrier_freq_hz=1e9, bandwidth_hz=1e8, n_subcarriers=2
-        )
-        with pytest.raises(ValueError):
-            per_device_max_se(np.ones((1, 2, 4), complex), self.NOISE, geom, "narrowband-bound")
+    def test_narrowband_geometry_takes_one_subcarrier(self):
+        geom = ArrayGeometry(n_antennas=4, carrier_freq_hz=1e9)
+        with pytest.raises(ValueError, match="single subcarrier"):
+            per_device_max_se(np.ones((1, 2, 4), complex), self.NOISE, geom)
+
+
+def test_small_fig2_run_reproduces_the_golden_csv(tmp_path):
+    # tests/data/fig2_seed11.csv holds the narrowband bound and genie circle
+    # rows, written while the bound still took an explicit kind, with this
+    # exact config
+    out = tmp_path / "fig2.csv"
+    write_csv(run_experiment(replace(preset("fig2"), n_trials=2, seed=11)), out)
+    golden = Path(__file__).with_name("data") / "fig2_seed11.csv"
+    assert out.read_bytes() == golden.read_bytes()

@@ -103,7 +103,8 @@ def test_a_trials_channels_and_noise_equal_those_built_key_by_key(monkeypatch):
         assert np.array_equal(ch.h, want.h) and ch.los_aod == want.los_aod
     for i, block in enumerate(blocks):
         k, m = divmod(i, 3)
+        xs = harness.transmit(ctx.precoders, frames[m])
         noise = key_rng(cfg.seed, trial, k + 1, m + 1)
-        want = receive(channels[k], np.zeros((ctx.n, ctx.n)), ctx.noise, noise, m + 1)
+        want = receive(channels[k], xs, ctx.noise, noise, m + 1)
         assert (block.device, block.subcarrier) == (k + 1, m + 1)
-        assert np.array_equal(block.noise_realization, want.noise_realization)
+        assert np.array_equal(block.y, want.y)
