@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ArrayGeometry, NoiseModel
+from .receiver import spectral_efficiency
 
 __all__ = [
     "WMMSE_MAX_ITERS",
+    "WMMSE_TOL",
     "SingularChannelError",
     "mrt",
     "zf",
@@ -25,8 +27,10 @@ __all__ = [
     "per_device_csit_se",
 ]
 
-# outer-iteration cap of wmmse; a solve that reaches it reports converged=False
+# wmmse stops once its weighted sum rate changes by less than WMMSE_TOL, or
+# after WMMSE_MAX_ITERS outer iterations and then reports converged=False
 WMMSE_MAX_ITERS = 100
+WMMSE_TOL = 1e-4
 
 
 class SingularChannelError(ValueError):
@@ -73,12 +77,7 @@ def zf(channels: np.ndarray) -> CsitPrecoder:
     return CsitPrecoder(vectors=vectors / norms)
 
 
-def wmmse(
-    channels: np.ndarray,
-    noise: NoiseModel,
-    max_iters: int = WMMSE_MAX_ITERS,
-    tol: float = 1e-4,
-) -> CsitPrecoder:
+def wmmse(channels: np.ndarray, noise: NoiseModel) -> CsitPrecoder:
     """Weighted-MMSE beams via alternating receiver/weight/precoder updates.
 
     The precoder block is solved under a unit-power constraint per beam,
@@ -90,7 +89,7 @@ def wmmse(
     coincide with MRT; a matched-beam start converges to stationary points
     below plain zero forcing when the array is much larger than the device
     count.  The weighted sum rate of the iterates is nondecreasing and
-    iteration stops once its change drops below ``tol``.  The channels are
+    iteration stops once its change drops below WMMSE_TOL.  The channels are
     scaled by the common beam amplitude of :func:`csit_amplitude`.
 
     Each precoder block is solved exactly by :func:`_solve_unit_ball`: one
@@ -116,7 +115,7 @@ def wmmse(
     mu = mu_prev = np.zeros(k)
     history = []
     converged = False
-    for it in range(max_iters):
+    for it in range(WMMSE_MAX_ITERS):
         totals = sig + rest
         u = np.diagonal(c) / totals
         lam = totals / rest  # 1 / MSE
@@ -134,7 +133,7 @@ def wmmse(
         sig, rest = _desired_and_rest(c, sigma2)
         wsr = float(np.log2(1.0 + sig / rest).sum())
         history.append(wsr)
-        if it > 0 and abs(history[-1] - history[-2]) < tol:
+        if it > 0 and abs(history[-1] - history[-2]) < WMMSE_TOL:
             converged = True
             break
 
@@ -159,13 +158,15 @@ def wmmse(
 def _desired_and_rest(c: np.ndarray, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """Desired power |c_kk|^2 and interference-plus-noise power per device.
 
-    The interference sums the off-diagonal cross gains directly, so it
-    stays exact however small it is next to the desired power.
+    ``c`` holds cross gains c[..., k, j] = g_k^H w_j.  The interference sums
+    the off-diagonal cross gains directly, so it stays exact however small
+    it is next to the desired power.
     """
     power = np.abs(c) ** 2
-    sig = power.diagonal().copy()
-    power.flat[:: power.shape[1] + 1] = 0.0
-    return sig, power.sum(axis=1) + sigma2
+    k = power.shape[-1]
+    sig = power.diagonal(axis1=-2, axis2=-1).copy()
+    power.reshape(-1, k * k)[:, :: k + 1] = 0.0
+    return sig, power.sum(axis=-1) + sigma2
 
 
 def _regularized_inversion(h: np.ndarray, reg: float) -> np.ndarray:
@@ -245,7 +246,7 @@ def per_device_csit_se(
     noise: NoiseModel,
     geometry: ArrayGeometry,
 ) -> np.ndarray:
-    """Per-device benchmark SE, shape (K,), with the cyclic-prefix penalty.
+    """Per-device benchmark SE, shape (K,), by :func:`spectral_efficiency`.
 
     ``channels`` has shape (K, M, N) and ``precoders`` one entry per
     subcarrier.  SINR of device k on subcarrier m is
@@ -257,11 +258,9 @@ def per_device_csit_se(
     k_dev, mm, n = channels.shape
     if len(precoders) != mm:
         raise ValueError("one precoder per subcarrier required")
+    beams = np.stack([p.vectors for p in precoders])  # (M, K, N)
     amp = csit_amplitude(n, k_dev, noise)
-    out = np.zeros(k_dev)
-    for m0 in range(mm):
-        f = precoders[m0].vectors  # (K, N)
-        cross = amp * (channels[:, m0, :].conj() @ f.T)  # (K rx, K beams)
-        sig, rest = _desired_and_rest(cross, noise.variance)
-        out += np.log2(1.0 + sig / rest)
-    return out / (mm + geometry.cp_len)
+    # cross[m0] = (K rx, K beams) gains of subcarrier m0
+    cross = amp * (channels.transpose(1, 0, 2).conj() @ beams.transpose(0, 2, 1))
+    sig, rest = _desired_and_rest(cross, noise.variance)
+    return spectral_efficiency((sig / rest).T, geometry)

@@ -34,7 +34,7 @@ class ArrayGeometry:
 
     Subcarrier m (1-based) sits at f_m = f_c + B*(2m - 1 - M) / (2M), so the
     M subcarriers are centered on the carrier.  Narrowband operation is
-    M = 1 with zero bandwidth, in which case f_1 equals the carrier.
+    M = 1, where f_1 equals the carrier whatever the bandwidth.
     """
 
     n_antennas: int
@@ -59,7 +59,7 @@ class ArrayGeometry:
 
     @property
     def is_narrowband(self) -> bool:
-        return self.n_subcarriers == 1 and self.bandwidth_hz == 0.0
+        return self.n_subcarriers == 1
 
     def subcarrier_freq_hz(self, m: int) -> float:
         """Frequency of subcarrier m, 1-based."""
@@ -144,8 +144,8 @@ def array_response(geometry: ArrayGeometry, theta: float, m: int = 1) -> np.ndar
 
     Entry p (0-based) is exp(i*pi*(f_m/f_c)*p*sin(theta)).  Antenna spacing
     is half the carrier wavelength, so the phase slope scales with the
-    subcarrier-to-carrier frequency ratio; at m = 1 with zero bandwidth this
-    reduces to the familiar narrowband steering vector.  Entries are unit
+    subcarrier-to-carrier frequency ratio; with a single subcarrier (M = 1)
+    this reduces to the familiar narrowband steering vector.  Entries are unit
     modulus, hence ||a||^2 = N for every angle.
     """
     ratio = geometry.subcarrier_freq_hz(m) / geometry.carrier_freq_hz

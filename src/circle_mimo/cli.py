@@ -60,7 +60,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"CIRCLE_SEED must be an integer, got {env_seed!r}") from None
         if args.seed is not None:
             config.seed = args.seed
-        # run_experiment validates the config before its first trial
+        # validate, then write the header: a bad --out fails before any trial
+        config.validate()
+        write_csv([], args.out)
         results = list(run_experiment(config))
         write_csv(results, args.out, timing=args.timing)
         if not args.quiet:

@@ -43,7 +43,7 @@ from .estimation import (
     sweep_scores,
     wideband_search,
 )
-from .receiver import SINR_CAP, per_device_achieved_se, per_device_max_se
+from .receiver import per_device_achieved_se, per_device_max_se
 from .seeding import generator, seed_words
 from .transceiver import make_frame, receive, transmit
 
@@ -94,7 +94,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("bound", "circle", "r-circle")
     symbol_source: str = "gaussian"
     csir: str = "estimated"
-    sinr_cap: float = SINR_CAP
     sweep_param: str | None = None
     sweep_values: tuple | None = None
 
@@ -146,8 +145,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown symbol_source {self.symbol_source!r}")
         if self.csir not in ("genie", "estimated"):
             raise ValueError(f"unknown csir mode {self.csir!r}")
-        if not self.sinr_cap > 0:
-            raise ValueError("sinr_cap must be positive")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         for i, method in enumerate(self.methods):
@@ -380,14 +377,12 @@ class _SweepContext:
         if method in ("circle", "r-circle"):
             if cfg.csir == "genie":
                 per_dev = per_device_achieved_se(
-                    h_true, h_true, self.family, self.noise, self.geometry,
-                    self.diagonals, cfg.sinr_cap,
+                    h_true, h_true, self.family, self.noise, self.geometry, self.diagonals
                 )
                 return per_dev, (), 0, ()
             h_hat, q_star = estimate
             per_dev = per_device_achieved_se(
-                h_hat, h_true, self.family, self.noise, self.geometry,
-                self.diagonals, cfg.sinr_cap,
+                h_hat, h_true, self.family, self.noise, self.geometry, self.diagonals
             )
             return per_dev, q_star, self.psi, ()
 
@@ -426,14 +421,14 @@ class _SweepContext:
             devices = range(c0, min(c0 + chunk, self.k_devices))
             ys = np.array([[b.y for b in blocks[k0]] for k0 in devices])
             chunk_scores, chunk_alpha_conj = sweep_scores(
-                ys, self.family, self.vectors, pilots, self.noise, cfg.sinr_cap
+                ys, self.family, self.vectors, pilots, self.noise
             )
             for k0, scores, alpha_conj in zip(devices, chunk_scores, chunk_alpha_conj):
                 if "circle" in methods:
                     for m0 in range(mm):
                         res = narrowband_search(
                             blocks[k0][m0], self.family, self.codebook, self.geometry,
-                            pilots[m0], self.noise, cfg.sinr_cap, self.vectors[m0],
+                            pilots[m0], self.noise, vectors=self.vectors[m0],
                             sweep=(scores[m0], alpha_conj[m0]),
                         )
                         h_hat["circle"][k0, m0] = res.h_hat[0]
@@ -441,7 +436,7 @@ class _SweepContext:
                 if "r-circle" in methods:
                     res = wideband_search(
                         blocks[k0], self.family, self.codebook, self.geometry,
-                        pilots, self.noise, cfg.sinr_cap, self.vectors,
+                        pilots, self.noise, vectors=self.vectors,
                         sweep=(scores, alpha_conj),
                     )
                     h_hat["r-circle"][k0] = res.h_hat

@@ -6,10 +6,10 @@ true channel the desired gain is exactly N and every interference gain is
 exactly zero, for any channel with nonzero entries; the achieved SE below
 is built on that decomposition.
 
-Two SINR normalizations coexist on purpose.  The narrowband maximum divides
-the channel gain by N*sigma^2 while the wideband per-subcarrier maximum
-divides by sigma^2 only; :func:`per_device_max_se` picks one from the
-geometry.  Neither is silently corrected.
+Every method's SE ends in :func:`spectral_efficiency`; narrowband is its
+M = 1 case.  Two SINR normalizations coexist on purpose: the narrowband
+maximum divides the channel gain by N*sigma^2, the wideband one by sigma^2
+only.  Neither is silently corrected.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .dftcore import PermutedDftFamily, pairwise_diagonals
 __all__ = [
     "DegenerateChannelError",
     "SINR_CAP",
+    "spectral_efficiency",
     "per_device_max_se",
     "per_device_achieved_se",
 ]
 
 # Cap applied to an infinite (perfectly cancelled) SINR before log2(1 + .);
-# configuration-visible through every function that consumes a SINR.
+# the default of every function that consumes a SINR, and no config field.
 SINR_CAP = 1e30
 
 # Entries closer to zero than this make the entrywise inverse meaningless.
@@ -46,29 +47,32 @@ def inverse_channel(h: np.ndarray) -> np.ndarray:
     return 1.0 / h.conj()
 
 
+def spectral_efficiency(sinr: np.ndarray, geometry, cap: float = SINR_CAP) -> np.ndarray:
+    """Per-device SE sum_m log2(1 + min(SINR_km, cap)) / (M + L_cp), shape
+    (K,), from per-subcarrier SINRs of shape (K, M)."""
+    se = np.log2(1.0 + np.minimum(sinr, cap))
+    return np.sum(se, axis=1) / (sinr.shape[1] + geometry.cp_len)
+
+
 def per_device_max_se(channels: np.ndarray, noise: NoiseModel, geometry) -> np.ndarray:
     """Per-device maximum spectral efficiency, shape (K,).
 
-    ``channels`` has shape (K, M, N).  A narrowband geometry (one subcarrier,
-    zero bandwidth) uses log2(1 + p_t*||h||^2/(N*sigma^2)); a wideband one
-    uses log2(1 + p_t*||h||^2/sigma^2) per subcarrier with the 1/(M + L_cp)
-    cyclic-prefix penalty.  The two coexisting normalizations (the extra N
-    divisor) are deliberate; see the module docstring.
+    ``channels`` has shape (K, M, N).  The SINR of subcarrier m is
+    p_t*||h_m||^2/(N*sigma^2) on a narrowband geometry (M = 1), a deliberate
+    extra N divisor (see the module docstring), and p_t*||h_m||^2/sigma^2
+    otherwise.
     """
     channels = np.asarray(channels)
     if channels.ndim != 3:
         raise ValueError("channels must have shape (K, M, N)")
     if noise.variance <= 0:
         raise ValueError("maximum SE requires a positive noise variance")
-    k_dev, mm, n = channels.shape
+    _, mm, n = channels.shape
+    if geometry.is_narrowband and mm != 1:
+        raise ValueError("a narrowband geometry has a single subcarrier")
     gains = np.sum(np.abs(channels) ** 2, axis=2)  # (K, M)
-    if geometry.is_narrowband:
-        if mm != 1:
-            raise ValueError("a narrowband geometry has a single subcarrier")
-        sinr = noise.tx_power * gains[:, 0] / (n * noise.variance)
-        return np.log2(1.0 + sinr)
-    sinr = noise.tx_power * gains / noise.variance
-    return np.sum(np.log2(1.0 + sinr), axis=1) / (mm + geometry.cp_len)
+    divisor = n * noise.variance if geometry.is_narrowband else noise.variance
+    return spectral_efficiency(noise.tx_power * gains / divisor, geometry)
 
 
 def per_device_achieved_se(
@@ -83,19 +87,17 @@ def per_device_achieved_se(
     """Per-device achieved SE with estimated combining channels, shape (K,).
 
     Both channel arrays have shape (K, M, N); device k (row k-1) combines
-    with family member k.  Per-subcarrier rates carry the 1/(M + L_cp)
-    penalty; for M = 1 with no cyclic prefix the penalty is 1.  The SINR
-    of device k on subcarrier m is (p_t/N)|g|^2 over
-    (p_t/N)*sum|v|^2 + sigma^2*||h_tilde||^2, with g the desired and v the
-    interference gains of combining with ``h_hat`` against ``h_true``; every
-    (device, subcarrier) is evaluated in one batched pass.  Any (near-)zero
-    entry of ``h_hat`` raises DegenerateChannelError.
+    with family member k.  The SINR of device k on subcarrier m is
+    (p_t/N)|g|^2 over (p_t/N)*sum|v|^2 + sigma^2*||h_tilde||^2, with g the
+    desired and v the interference gains of combining with ``h_hat`` against
+    ``h_true``; every (device, subcarrier) is evaluated in one batched pass.
+    Any (near-)zero entry of ``h_hat`` raises DegenerateChannelError.
     """
     h_hat = np.asarray(h_hat)
     h_true = np.asarray(h_true)
     if h_hat.shape != h_true.shape or h_hat.ndim != 3:
         raise ValueError("channel arrays must share shape (K, M, N)")
-    k_dev, mm, n = h_hat.shape
+    k_dev, _, n = h_hat.shape
     if diagonals is None:
         diagonals = pairwise_diagonals(family)
     h_tilde = inverse_channel(h_hat)
@@ -114,6 +116,5 @@ def per_device_achieved_se(
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(denom == 0.0, np.where(signal > 0, np.inf, 0.0), signal / denom)
-    se = np.log2(1.0 + np.minimum(sinr, cap))
-    return np.sum(se, axis=1) / (mm + geometry.cp_len)
+    return spectral_efficiency(sinr, geometry, cap)
 

@@ -33,6 +33,12 @@ class TestGeometry:
     def test_narrowband_reduces_to_carrier(self):
         assert NARROW.is_narrowband
         assert NARROW.subcarrier_freq_hz(1) == 100e9
+        # one subcarrier sits on the carrier whatever the bandwidth, so M = 1
+        # alone makes a geometry narrowband
+        wide = ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9, bandwidth_hz=5e9)
+        assert wide.is_narrowband and wide.subcarrier_freq_hz(1) == 100e9
+        assert np.array_equal(wide.phase_base, NARROW.phase_base)
+        assert not ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9, n_subcarriers=2).is_narrowband
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -110,12 +110,10 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=message):
                 next(iter(run_experiment(cfg)))
 
-    def test_nan_rho_and_sinr_cap_rejected(self):
+    def test_nan_rho_rejected(self):
         # nan fails no ordering test, so "rho <= 0 or rho > 2" let it through
         with pytest.raises(ValueError, match="rho must lie in"):
             quick_config(rho=float("nan")).validate()
-        with pytest.raises(ValueError, match="sinr_cap must be positive"):
-            quick_config(sinr_cap=float("nan")).validate()
 
     def test_nan_sweep_point_rejected_before_the_first_trial(self):
         cfg = replace(
@@ -458,11 +456,13 @@ sweep_param = none
             cfg.validate()
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("antennas = 8\n")
-        with pytest.raises(ValueError) as err:
-            load_config_file(path)
-        assert "antennas" in str(err.value)
+        # sinr_cap is no config field: receiver.SINR_CAP is the only cap
+        for key, line in (("antennas", "antennas = 8"), ("sinr_cap", "sinr_cap = 1e6")):
+            path = tmp_path / "bad.cfg"
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError) as err:
+                load_config_file(path)
+            assert str(err.value) == f"{path}:1: unknown config key {key!r}"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad2.cfg"
@@ -535,6 +535,19 @@ class TestCli:
                        "--quiet"])
         assert rc != 0
 
+    def test_unwritable_out_fails_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(self, trial):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(_SweepContext, "run_trial", no_trials)
+        out = tmp_path / "missing" / "out.csv"
+        assert cli_main(["run", "--preset", "fig4d", "--trials", "20", "--out", str(out),
+                         "--quiet"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write results to {str(out)!r}")
+        assert captured.out == "" and not out.parent.exists()
+
     def test_stub_method_fails_cleanly(self, tmp_path):
         cfgfile = tmp_path / "stub.cfg"
         cfgfile.write_text("methods = wo-csit-feedback\n")
@@ -576,7 +589,7 @@ class TestCli:
 # config-file values that used to reach validate() as None, an empty method
 # list, and a key the file already set (n_devices, on line 1)
 BAD_CONFIG_LINES = [
-    "rho = none", "sinr_cap = none", "sigma2_db = none", "delta2_db = none",
+    "rho = none", "sigma2_db = none", "delta2_db = none",
     "methods = none", "methods =", "n_devices = 6",
 ]
 

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from circle_mimo import baselines
 from circle_mimo.channel import (
     ArrayGeometry,
     ChannelProfile,
@@ -13,7 +16,7 @@ from circle_mimo.channel import (
     sample_channel,
 )
 from circle_mimo.dftcore import build_family
-from circle_mimo.harness import preset, run_experiment, write_csv
+from circle_mimo.harness import ExperimentConfig, _SweepContext, preset, run_experiment, write_csv
 from circle_mimo.receiver import (
     DegenerateChannelError,
     inverse_channel,
@@ -31,6 +34,7 @@ from oracle import (
     estimated_sinr,
     exact_sinr,
     interference_gain,
+    key_rng,
     receiver_noise,
     se_bits,
     sinr_bound,
@@ -352,3 +356,64 @@ def test_small_fig2_run_reproduces_the_golden_csv(tmp_path):
     write_csv(run_experiment(replace(preset("fig2"), n_trials=2, seed=11)), out)
     golden = Path(__file__).with_name("data") / "fig2_seed11.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def scalar_sinrs(method, h, ctx) -> np.ndarray:
+    """(K, M) SINRs of one method on the channels h (K, M, N), one scalar
+    formula per (device, subcarrier)."""
+    k_dev, mm, n = h.shape
+    noise = ctx.noise
+    out = np.empty((k_dev, mm))
+    for m0 in range(mm):
+        if method in ("mrt", "zf"):
+            beams = getattr(baselines, method)(h[:, m0]).vectors
+        elif method == "wmmse":
+            beams = baselines.wmmse(h[:, m0], noise).vectors
+        for k0 in range(k_dev):
+            if method == "bound":
+                out[k0, m0] = (
+                    sinr_bound(h[k0, m0], noise) if mm == 1
+                    else noise.tx_power * np.sum(np.abs(h[k0, m0]) ** 2) / noise.variance
+                )
+            elif method in ("circle", "r-circle"):
+                out[k0, m0] = achieved_sinr(h[k0, m0], h[k0, m0], ctx.family, k0 + 1, noise)
+            else:
+                amp = baselines.csit_amplitude(n, k_dev, noise)
+                gains = [abs(amp * np.vdot(h[k0, m0], beams[j])) ** 2 for j in range(k_dev)]
+                interference = math.fsum(g for j, g in enumerate(gains) if j != k0)
+                out[k0, m0] = gains[k0] / (interference + noise.variance)
+    return out
+
+
+# single subcarriers with a bandwidth or a cyclic prefix: the bound keeps its
+# N divisor whatever the bandwidth and pays the 1/(1 + L_cp) overhead
+@settings(max_examples=30, deadline=None)
+@given(
+    k_dev=st.integers(1, 6),
+    mm=st.sampled_from([1, 2, 3]),
+    cp_len=st.sampled_from([0, 2]),
+    bandwidth_hz=st.sampled_from([0.0, 1e9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k_dev=3, mm=1, cp_len=0, bandwidth_hz=1e9, seed=3)
+@example(k_dev=3, mm=1, cp_len=2, bandwidth_hz=0.0, seed=3)
+def test_every_rows_se_follows_the_scalar_rule(k_dev, mm, cp_len, bandwidth_hz, seed):
+    """Each device's SE is sum_m log2(1 + SINR_km) / (M + L_cp), for every
+    method, with narrowband the M = 1 case of the same rule."""
+    cfg = ExperimentConfig(
+        n_devices=k_dev, n_subcarriers=mm, cp_len=cp_len, bandwidth_hz=bandwidth_hz,
+        csir="genie", methods=("bound", "circle", "r-circle", "mrt", "zf", "wmmse"),
+        n_trials=2, seed=seed,
+    )
+    ctx = _SweepContext(cfg, None)
+    channels = {}
+    for row in run_experiment(cfg):
+        trial = row.trial_index
+        if trial not in channels:
+            channels[trial] = np.stack([
+                sample_channel(ctx.geometry, k, key_rng(seed, trial, k), ctx.profile).h
+                for k in range(1, k_dev + 1)
+            ])
+        sinr = scalar_sinrs(row.method, channels[trial], ctx)
+        want = [sum(se_bits(s) for s in dev) / (mm + cp_len) for dev in sinr]
+        np.testing.assert_allclose(row.per_device_se, want, rtol=1e-9, atol=1e-12)
