@@ -92,8 +92,8 @@ def _report_wmmse(results) -> None:
     converged = [c for res in results if res.method == "wmmse" for c in res.converged]
     if converged:
         print(
-            f"wmmse: {converged.count(False)} of {len(converged)} solves stopped at "
-            f"max_iters={WMMSE_MAX_ITERS}",
+            f"wmmse: {converged.count(False)} of {len(converged)} solves stopped at the "
+            f"{WMMSE_MAX_ITERS}-iteration cap (baselines.WMMSE_MAX_ITERS) without converging",
             file=sys.stderr,
         )
 

@@ -201,7 +201,6 @@ def narrowband_search(
     geometry: ArrayGeometry,
     pilots: tuple[complex, complex],
     noise: NoiseModel,
-    cap: float = SINR_CAP,
     vectors: np.ndarray | None = None,
     sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
@@ -220,7 +219,7 @@ def narrowband_search(
         vectors = vectors[None]
     if sweep is not None:
         sweep = (sweep[0][None], sweep[1][None])
-    return _search([block], family, codebook, geometry, pilots, noise, cap, vectors, sweep, 1.0)
+    return _search([block], family, codebook, geometry, pilots, noise, vectors, sweep, 1.0)
 
 
 def wideband_search(
@@ -230,7 +229,6 @@ def wideband_search(
     geometry: ArrayGeometry,
     pilots: np.ndarray | list[tuple[complex, complex]] | tuple[complex, complex],
     noise: NoiseModel,
-    cap: float = SINR_CAP,
     vectors: np.ndarray | list[np.ndarray] | None = None,
     sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
@@ -246,16 +244,17 @@ def wideband_search(
     ``(scores, alpha_conj)`` of :func:`sweep_scores` on them, each (M, D).
     """
     weight = float(len(blocks) + geometry.cp_len)
-    return _search(blocks, family, codebook, geometry, pilots, noise, cap, vectors, sweep, weight)
+    return _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, weight)
 
 
-def _search(blocks, family, codebook, geometry, pilots, noise, cap, vectors, sweep, weight):
+def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, weight):
     """The one angle pick of both searches: the best of the D columns of the
     blocks' summed scores over ``weight``, first on exact ties, with
     ``h_hat`` gathered from the (M, N, D) tables at that column.  Without
-    ``vectors`` or ``sweep`` the search builds and scores them itself.
-    ``weight`` comes as a float, which NumPy 2 divides by at about half the
-    cost of an int; narrowband picks run K*M times a trial."""
+    ``vectors`` or ``sweep`` the search builds and scores them itself, at
+    :func:`sweep_scores`' own cap.  ``weight`` comes as a float, which NumPy
+    2 divides by at about half the cost of an int; narrowband picks run K*M
+    times a trial."""
     mm = len(blocks)
     if mm == 0:
         raise ValueError("need at least one received block")
@@ -271,7 +270,7 @@ def _search(blocks, family, codebook, geometry, pilots, noise, cap, vectors, swe
     if sweep is None:
         ys = np.stack([b.y for b in blocks])
         # one pair, as a (1, 2) row, broadcasts over the subcarriers
-        sweep = sweep_scores(ys, family, vectors, pilots.reshape(-1, 2), noise, cap)
+        sweep = sweep_scores(ys, family, vectors, pilots.reshape(-1, 2), noise)
     scores, alpha_conj = sweep
     width = codebook.distinct.size
     if scores.shape[-1] != width or vectors.shape[-1] != width:

@@ -369,35 +369,23 @@ class _SweepContext:
 
     def _run_method(self, method, h_true, estimate):
         """Per-device SE, ``q_star``, ``psi`` and, for wmmse, its precoders."""
-        cfg = self.config
         if method == "bound":
-            per_dev = per_device_max_se(h_true, self.noise, self.geometry)
-            return per_dev, (), 0, ()
+            return per_device_max_se(h_true, self.noise, self.geometry), (), 0, ()
 
         if method in ("circle", "r-circle"):
-            if cfg.csir == "genie":
-                per_dev = per_device_achieved_se(
-                    h_true, h_true, self.family, self.noise, self.geometry, self.diagonals
-                )
-                return per_dev, (), 0, ()
-            h_hat, q_star = estimate
-            per_dev = per_device_achieved_se(
-                h_hat, h_true, self.family, self.noise, self.geometry, self.diagonals
-            )
-            return per_dev, q_star, self.psi, ()
+            genie = self.config.csir == "genie"
+            h_hat, q_star, psi = (h_true, (), 0) if genie else (*estimate, self.psi)
+            per_dev = per_device_achieved_se(h_hat, h_true, self.diagonals, self.noise, self.geometry)
+            return per_dev, q_star, psi, ()
 
-        # full-CSIT benchmarks, one precoder per subcarrier
-        precoders = []
-        for m0 in range(cfg.n_subcarriers):
-            h_m = h_true[:, m0, :]
-            if method == "mrt":
-                precoders.append(baselines.mrt(h_m))
-            elif method == "zf":
-                precoders.append(baselines.zf(h_m))
-            elif method == "wmmse":
-                precoders.append(baselines.wmmse(h_m, self.noise))
-            else:
-                raise ValueError(f"unknown method {method!r}")
+        # full-CSIT benchmarks, one precoder per subcarrier; the beams are
+        # looked up on ``baselines`` at call time, where a tracer wraps them
+        beams = {
+            "mrt": baselines.mrt,
+            "zf": baselines.zf,
+            "wmmse": lambda h_m: baselines.wmmse(h_m, self.noise),
+        }[method]
+        precoders = [beams(h_true[:, m0, :]) for m0 in range(self.config.n_subcarriers)]
         per_dev = baselines.per_device_csit_se(precoders, h_true, self.noise, self.geometry)
         return per_dev, (), 0, precoders if method == "wmmse" else ()
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import NoiseModel
-from .dftcore import PermutedDftFamily, pairwise_diagonals
 
 __all__ = [
     "DegenerateChannelError",
@@ -78,16 +77,16 @@ def per_device_max_se(channels: np.ndarray, noise: NoiseModel, geometry) -> np.n
 def per_device_achieved_se(
     h_hat: np.ndarray,
     h_true: np.ndarray,
-    family: PermutedDftFamily,
+    diagonals: np.ndarray,
     noise: NoiseModel,
     geometry,
-    diagonals: np.ndarray | None = None,
     cap: float = SINR_CAP,
 ) -> np.ndarray:
     """Per-device achieved SE with estimated combining channels, shape (K,).
 
     Both channel arrays have shape (K, M, N); device k (row k-1) combines
-    with family member k.  The SINR of device k on subcarrier m is
+    with family member k.  ``diagonals`` is the family's (N, N, N)
+    ``dftcore.pairwise_diagonals``, its only input here.  The SINR of device k on subcarrier m is
     (p_t/N)|g|^2 over (p_t/N)*sum|v|^2 + sigma^2*||h_tilde||^2, with g the
     desired and v the interference gains of combining with ``h_hat`` against
     ``h_true``; every (device, subcarrier) is evaluated in one batched pass.
@@ -98,8 +97,6 @@ def per_device_achieved_se(
     if h_hat.shape != h_true.shape or h_hat.ndim != 3:
         raise ValueError("channel arrays must share shape (K, M, N)")
     k_dev, _, n = h_hat.shape
-    if diagonals is None:
-        diagonals = pairwise_diagonals(family)
     h_tilde = inverse_channel(h_hat)
 
     w = h_tilde * h_true.conj()

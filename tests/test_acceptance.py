@@ -249,7 +249,7 @@ def test_criterion_07_resolution_trend():
                 )
                 h_hat[k0] = res.h_hat
             achieved_total += np.sum(
-                cm.per_device_achieved_se(h_hat, h_true, fam, noise, geom, diagonals)
+                cm.per_device_achieved_se(h_hat, h_true, diagonals, noise, geom)
             )
             bound_total += sum(combining_ceiling(h, noise, geom) for h in h_true)
         ratios[q_levels] = achieved_total / bound_total

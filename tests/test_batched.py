@@ -227,7 +227,7 @@ class TestAchievedSe:
         geom, h_true, h_hat = self.draw(seed)
         noise = NoiseModel(variance=0.1, tx_power=2.0)
         for hh, cap in ((h_hat, SINR_CAP), (h_true, SINR_CAP), (h_hat, 3.0)):
-            got = per_device_achieved_se(hh, h_true, FAM, noise, geom, DIAGS, cap)
+            got = per_device_achieved_se(hh, h_true, DIAGS, noise, geom, cap)
             k_dev, mm, _ = h_true.shape
             for k0 in range(k_dev):
                 want = sum(
@@ -239,7 +239,7 @@ class TestAchievedSe:
     def test_noiseless_perfect_combining_is_capped(self):
         geom, h_true, _ = self.draw(7)
         noise = NoiseModel(variance=0.0, tx_power=1.0)
-        got = per_device_achieved_se(h_true, h_true, FAM, noise, geom, DIAGS, 1e6)
+        got = per_device_achieved_se(h_true, h_true, DIAGS, noise, geom, 1e6)
         for k0 in range(h_true.shape[0]):
             want = sum(
                 se_bits(achieved_sinr(h_true[k0, m0], h_true[k0, m0], FAM, k0 + 1, noise), 1e6)
@@ -251,7 +251,7 @@ class TestAchievedSe:
         geom, h_true, h_hat = self.draw(3)
         h_hat[-1, 1, 2] = 0.0
         with pytest.raises(DegenerateChannelError):
-            per_device_achieved_se(h_hat, h_true, FAM, NoiseModel(), geom, DIAGS)
+            per_device_achieved_se(h_hat, h_true, DIAGS, NoiseModel(), geom)
 
 
 @settings(max_examples=40, deadline=None)

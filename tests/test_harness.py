@@ -573,7 +573,10 @@ class TestCli:
         assert all(r.iterations == () for r in results if r.method != "wmmse")
         stopped = converged.count(False)
         assert stopped > 0
-        assert f"wmmse: {stopped} of 4 solves stopped at max_iters={WMMSE_MAX_ITERS}" in err
+        assert (
+            f"wmmse: {stopped} of 4 solves stopped at the {WMMSE_MAX_ITERS}-iteration cap "
+            "(baselines.WMMSE_MAX_ITERS) without converging"
+        ) in err
 
         # the solver outcomes never reach the CSV
         bare = tmp_path / "bare.csv"
