@@ -34,11 +34,12 @@ _SAME_SINE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Codebook:
-    """Q quantized departure angles spanning [range_start, range_start + range_span).
+    """Q quantized departure angles spanning [0, range_span).
 
-    Angle q (1-based) is range_start + (q - 1) * range_span / Q.  The default
-    grid spans the full circle starting at -pi; restricted angular domains
-    keep Q fixed over the smaller span (finer effective resolution).
+    Angle q (1-based) is (q - 1) * range_span / Q.  The grid starts at 0, as
+    the channel's departure angles do (``ChannelProfile.angular_range``):
+    the default spans the full circle, and a restricted angular domain keeps
+    Q fixed over the smaller span (finer effective resolution).
 
     A ULA sees an angle only through its sine, and an angle and its mirror
     pi - theta (mod 2*pi) share it.  ``distinct`` lists, in ascending order,
@@ -51,7 +52,6 @@ class Codebook:
     """
 
     q_levels: int
-    range_start: float
     range_span: float
     angles: np.ndarray  # (Q,)
     distinct: np.ndarray = field(init=False, repr=False, compare=False)
@@ -64,12 +64,11 @@ class Codebook:
         starts = np.flatnonzero(np.diff(sines[order], prepend=-np.inf) > _SAME_SINE_TOL)
         object.__setattr__(self, "distinct", np.sort(np.minimum.reduceat(order, starts)))
 
-    def tables(self, geometry: ArrayGeometry, subcarriers=None) -> np.ndarray:
-        """Candidate steering vectors on each of ``subcarriers``, shape (len, N, D).
+    def tables(self, geometry: ArrayGeometry) -> np.ndarray:
+        """Candidate steering vectors on each of the M subcarriers, (M, N, D).
 
-        ``subcarriers`` lists 1-based indices and defaults to all M.  Column
-        j is the steering vector of ``angles[distinct[j]]``: entry (p, j) on
-        subcarrier m is z**p for the unit phasor
+        Column j is the steering vector of ``angles[distinct[j]]``: entry
+        (p, j) on subcarrier m is z**p for the unit phasor
         z = exp(i*pi*(f_m/f_c)*sin(theta)), theta = angles[distinct[j]].
         Rows 0 and 1 are exactly 1 and z, and rows [k, 2k) are rows [0, k)
         times z**k, so a table takes one exp per (subcarrier, distinct sine)
@@ -77,11 +76,10 @@ class Codebook:
         the powers are at least as close as a direct exp per entry at
         N >= 32 (1.5e-13 against 2.4e-13 at N = 514).
         """
-        if subcarriers is None:
-            subcarriers = range(1, geometry.n_subcarriers + 1)
-        freqs = np.array([geometry.subcarrier_freq_hz(m) for m in subcarriers])
-        ratios = freqs[:, None] / geometry.carrier_freq_hz
-        z = np.exp(1j * np.pi * ratios * np.sin(self.angles)[self.distinct])  # (len, D)
+        ratios = np.array(
+            [geometry.subcarrier_freq_hz(m) for m in range(1, geometry.n_subcarriers + 1)]
+        ) / geometry.carrier_freq_hz
+        z = np.exp(1j * np.pi * ratios[:, None] * np.sin(self.angles)[self.distinct])  # (M, D)
         n = geometry.n_antennas
         out = np.empty((len(z), n, self.distinct.size), dtype=complex)
         out[:, :1] = 1.0
@@ -103,23 +101,15 @@ class EstimationResult:
     score: float              # value of the maximized objective
 
 
-def make_codebook(
-    q_levels: int,
-    range_start: float = -math.pi,
-    range_span: float = 2.0 * math.pi,
-) -> Codebook:
+def make_codebook(q_levels: int, range_span: float = 2.0 * math.pi) -> Codebook:
     if q_levels < 1:
         raise ValueError("q_levels must be positive")
-    for name, value in (("range_start", range_start), ("range_span", range_span)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(range_span):
+        raise ValueError(f"range_span must be finite, got {range_span!r}")
     if range_span <= 0:
         raise ValueError("range_span must be positive")
-    q = np.arange(q_levels)
-    angles = range_start + q * (range_span / q_levels)
-    return Codebook(
-        q_levels=q_levels, range_start=range_start, range_span=range_span, angles=angles
-    )
+    angles = np.arange(q_levels) * (range_span / q_levels)
+    return Codebook(q_levels=q_levels, range_span=range_span, angles=angles)
 
 
 def sweep_scores(
@@ -251,10 +241,10 @@ def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, w
     """The one angle pick of both searches: the best of the D columns of the
     blocks' summed scores over ``weight``, first on exact ties, with
     ``h_hat`` gathered from the (M, N, D) tables at that column.  Without
-    ``vectors`` or ``sweep`` the search builds and scores them itself, at
-    :func:`sweep_scores`' own cap.  ``weight`` comes as a float, which NumPy
-    2 divides by at about half the cost of an int; narrowband picks run K*M
-    times a trial."""
+    ``vectors`` the search takes its blocks' rows of :meth:`Codebook.tables`,
+    and without ``sweep`` it scores them at :func:`sweep_scores`' own cap.
+    ``weight`` comes as a float, which NumPy 2 divides by at about half the
+    cost of an int; narrowband picks run K*M times a trial."""
     mm = len(blocks)
     if mm == 0:
         raise ValueError("need at least one received block")
@@ -265,7 +255,7 @@ def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, w
             f"shape ({mm}, 2); got shape {pilots.shape}"
         )
     if vectors is None:
-        vectors = codebook.tables(geometry, [b.subcarrier for b in blocks])
+        vectors = codebook.tables(geometry)[[b.subcarrier - 1 for b in blocks]]
     vectors = np.asarray(vectors)
     if sweep is None:
         ys = np.stack([b.y for b in blocks])

@@ -306,7 +306,7 @@ class _SweepContext:
         self.family = build_family(self.n)
         self.precoders = build_precoders(self.family)
         self.diagonals = pairwise_diagonals(self.family)
-        self.codebook = make_codebook(cfg.q_levels, 0.0, cfg.rho * math.pi)
+        self.codebook = make_codebook(cfg.q_levels, self.profile.angular_range)
         self.vectors = self.codebook.tables(self.geometry)  # (M, N, D)
         self.psi = complexity_psi(self.n, cfg.n_subcarriers, cfg.q_levels)
 

@@ -149,7 +149,7 @@ def test_criterion_05_codebook_recovery():
     geom = cm.ArrayGeometry(n_antennas=n, carrier_freq_hz=100e9)
     noise = cm.NoiseModel(variance=0.0, tx_power=1.0)
     # the sine is injective on [0, pi/2), so each grid index is unambiguous
-    cb = cm.make_codebook(q_levels, 0.0, math.pi / 2)
+    cb = cm.make_codebook(q_levels, math.pi / 2)
 
     rng = np.random.default_rng(42)
     on_grid_hits = 0
@@ -189,7 +189,7 @@ def test_criterion_06_gain_guess_invariance():
     fam = cm.build_family(n)
     geom = cm.ArrayGeometry(n_antennas=n, carrier_freq_hz=100e9)
     noise = cm.NoiseModel(variance=0.0, tx_power=1.0)
-    cb = cm.make_codebook(128, 0.0, math.pi / 2)
+    cb = cm.make_codebook(128, math.pi / 2)
     candidates = np.stack([array_response(geom, ang) for ang in cb.angles])
 
     rng = np.random.default_rng(6)
@@ -229,7 +229,7 @@ def test_criterion_07_resolution_trend():
 
     ratios = {}
     for q_levels in (64, 256, 1024):
-        cb = cm.make_codebook(q_levels, 0.0, 2 * math.pi)
+        cb = cm.make_codebook(q_levels, 2 * math.pi)
         vectors = cb.tables(geom)
         achieved_total = bound_total = 0.0
         for trial in range(200):

@@ -45,7 +45,7 @@ N = 8
 FAM = build_family(N)
 PRE = build_precoders(FAM)
 DIAGS = pairwise_diagonals(FAM)
-CB = make_codebook(12, 0.0, math.pi / 2)
+CB = make_codebook(12, math.pi / 2)
 REL = 1e-12
 EPS = np.finfo(float).eps
 
@@ -298,7 +298,7 @@ class TestFoldedSweep:
     def test_runs_hold_each_distinct_sine_once(self, rho, q):
         # table column j is the steering vector of grid index distinct[j] on
         # every subcarrier: one column per distinct sine
-        cb = make_codebook(q, 0.0, rho * math.pi)
+        cb = make_codebook(q, rho * math.pi)
         geom = ArrayGeometry(N, 100e9, 10e9, n_subcarriers=3)
         tables = cb.tables(geom)
         assert tables.shape == (3, N, cb.distinct.size)
@@ -311,7 +311,7 @@ class TestFoldedSweep:
 
     def test_runs_of_the_full_circle(self):
         # the sines of [0, pi/2] and of (pi, 3pi/2]; pi repeats the sine of 0
-        cb = make_codebook(512, 0.0, 2 * math.pi)
+        cb = make_codebook(512, 2 * math.pi)
         assert np.array_equal(cb.distinct, np.r_[0:129, 257:385])
 
     def draw(self, seed, k_dev, mm, cb, noisy=True):
@@ -341,7 +341,7 @@ class TestFoldedSweep:
     @example(seed=131072, k_dev=2, mm=3, rho=2.0)
     @example(seed=27740, k_dev=1, mm=3, rho=1.0)
     def test_grid_rows_match_the_scalar_gain_and_score(self, seed, k_dev, mm, rho):
-        cb = make_codebook(24, 0.0, rho * math.pi)
+        cb = make_codebook(24, rho * math.pi)
         geom, noise, pilots, blocks, ys = self.draw(seed, k_dev, mm, cb)
         vectors = cb.tables(geom)
         scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, SINR_CAP)
@@ -355,7 +355,7 @@ class TestFoldedSweep:
     def test_mirrors_carry_the_score_of_their_sine(self):
         # sweeping every grid angle scores each mirror as the column of its
         # lowest same-sine index, up to the roundoff of its own sine
-        cb = make_codebook(64, 0.0, 2 * math.pi)
+        cb = make_codebook(64, 2 * math.pi)
         geom, noise, pilots, _, ys = self.draw(3, 3, 2, cb)
         first = lowest_same_sine(cb)
         assert np.any(first != np.arange(64)) and cb.distinct.size < 64
@@ -371,7 +371,7 @@ class TestFoldedSweep:
     @pytest.mark.parametrize("rho", [1 / 32, 1 / 2, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("q", [1, 2, 7, 64, 512])
     def test_distinct_lists_the_lowest_index_of_each_sine(self, rho, q):
-        cb = make_codebook(q, 0.0, rho * math.pi)
+        cb = make_codebook(q, rho * math.pi)
         first = lowest_same_sine(cb)
         assert np.all(np.diff(cb.distinct) > 0)
         assert np.array_equal(cb.distinct, np.flatnonzero(first == np.arange(q)))
@@ -380,7 +380,7 @@ class TestFoldedSweep:
     @pytest.mark.parametrize("cols", [(3, 20), (20, 25), (0, 32)])
     def test_a_tie_between_sines_goes_to_the_lower_index(self, cols):
         # constructed rows: two different sines score exactly the same best value
-        cb = make_codebook(64, 0.0, 2 * math.pi)
+        cb = make_codebook(64, 2 * math.pi)
         mm = 2
         geom = ArrayGeometry(N, 100e9, 10e9, n_subcarriers=mm, cp_len=1)
         blocks = [ReceivedBlock(1, m0 + 1, np.zeros(N, complex)) for m0 in range(mm)]
@@ -402,7 +402,7 @@ class TestFoldedSweep:
             assert narrow.alpha_hat[0] == np.conj(alpha_conj[m0, cols[0]])
 
     def test_searches_reject_rows_of_another_fold(self):
-        cb = make_codebook(64, 0.0, 2 * math.pi)  # 33 distinct sines
+        cb = make_codebook(64, 2 * math.pi)  # 33 distinct sines
         geom = ArrayGeometry(N, 100e9)
         block = ReceivedBlock(1, 1, np.zeros(N, complex))
         grid_rows = (np.zeros(64), np.zeros(64, complex))  # one column per grid index
@@ -415,7 +415,7 @@ class TestFoldedSweep:
 
     @pytest.mark.parametrize("k_dev", [1, 7])
     def test_a_devices_rows_are_the_same_alone_and_in_any_chunk(self, k_dev):
-        cb = make_codebook(512, 0.0, 2 * math.pi)
+        cb = make_codebook(512, 2 * math.pi)
         geom, noise, pilots, _, ys = self.draw(11, k_dev, 3, cb)
         vectors = cb.tables(geom)
         alone = [sweep_scores(ys[k0], FAM, vectors, pilots, noise, SINR_CAP)
@@ -432,7 +432,7 @@ class TestFoldedSweep:
     def test_searches_read_a_folded_chunk_as_their_own_sweep(self):
         # r-circle and circle on a chunk's rows pick what they pick on the
         # one-device sweep they compute themselves
-        cb = make_codebook(128, 0.0, 2 * math.pi)
+        cb = make_codebook(128, 2 * math.pi)
         geom, noise, pilots, blocks, ys = self.draw(5, 4, 3, cb)
         vectors = cb.tables(geom)
         scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, SINR_CAP)
@@ -452,9 +452,9 @@ class TestFoldedSweep:
     def test_tables_of_another_codebook_rejected(self):
         # a table with one column per grid index of another codebook, here
         # every one of Q = 64 sines, is not this codebook's 33 columns
-        cb = make_codebook(64, 0.0, 2 * math.pi)
+        cb = make_codebook(64, 2 * math.pi)
         geom, noise, pilots, blocks, _ = self.draw(2, 1, 2, cb)
-        full_grid = make_codebook(64, 0.0, math.pi / 2).tables(geom)
+        full_grid = make_codebook(64, math.pi / 2).tables(geom)
         widths = "33 distinct sines, got rows of width 64 and tables of width 64"
         pairs = [tuple(p) for p in pilots]
         with pytest.raises(ValueError, match=widths):

@@ -278,6 +278,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("fig9")
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_codebook_spans_the_channel_angle_domain(self, name):
+        # the receivers sweep the interval the channel draws its angles from
+        cfg = preset(name)
+        ctx = _SweepContext(cfg, cfg.sweep_values[0])
+        span = ctx.profile.angular_range
+        assert span == cfg.rho * math.pi
+        assert ctx.codebook.range_span == span
+        angles = ctx.codebook.angles
+        assert angles.size == cfg.q_levels and angles[0] == 0.0
+        assert np.all((angles >= 0.0) & (angles < span))
+
 
 class TestRunExperiment:
     def test_row_shape_and_invariants(self):

@@ -327,7 +327,7 @@ class TestSumSe:
         bound = np.sum(per_device_max_se(chans, noise, geom))
         assert achieved == pytest.approx(bound, rel=1e-9)
 
-    def test_full_csir_within_two_percent_of_bound_at_10db(self, family16):
+    def test_full_csir_within_two_percent_of_bound_at_10db(self):
         # equal-modulus channels: the combining scheme meets its own bound
         geom = ArrayGeometry(n_antennas=32, carrier_freq_hz=100e9)
         diags32 = pairwise_diagonals(build_family(32))
