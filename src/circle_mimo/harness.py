@@ -4,10 +4,11 @@ Reproducibility notes: every random draw is keyed by a spawn chain on the
 experiment seed, (trial,) for frame symbols, (trial, device) for channel
 realizations and (trial, device, subcarrier) for receiver noise, so a
 trial's results depend only on the config and the trial index, and the
-serially run trials give byte-identical CSVs for a fixed seed.  Each trial
-derives the seed words of all its keys in one vectorised pass of NumPy's
-``SeedSequence`` hash (``seeding``), which gives the streams
-``SeedSequence(seed, spawn_key=key)`` gives.  Wall-clock timings are
+serially run trials give byte-identical CSVs for a fixed seed.  The keys
+form a tree, and a trial derives the seed words of each of its levels in
+one vectorised step of NumPy's ``SeedSequence`` hash (``seeding``), which
+gives the streams ``SeedSequence(seed, spawn_key=key)`` gives; a key word
+is 32 bits, so ``n_trials`` is at most 2**32.  Wall-clock timings are
 measured per method but written to the CSV as 0 unless explicitly
 requested, keeping the default output deterministic.
 
@@ -131,8 +132,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if (self.snr_db is None) == (self.p_t_db is None):
             raise ValueError("exactly one of snr_db and p_t_db must be set")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
+        if not 1 <= self.n_trials <= 2**32:  # a trial index is one 32-bit key word
+            raise ValueError("n_trials must lie in [1, 2**32]")
         if self.n_devices < 1:
             raise ValueError("n_devices must be at least 1")
         if self.seed < 0:
@@ -316,16 +317,14 @@ class _SweepContext:
         k_dev = self.k_devices
         estimated = cfg.csir == "estimated" and bool({"circle", "r-circle"} & set(cfg.methods))
 
-        # seed words of the keys (trial,), (trial, k) and, for the received
-        # noise, (trial, k, m), all derived in one pass
-        keys = [(trial,)] + [(trial, k) for k in range(1, k_dev + 1)]
-        if estimated:
-            keys += [(trial, k, m) for k in range(1, k_dev + 1) for m in range(1, mm + 1)]
-        words = seed_words(cfg.seed, keys)
+        # seed words of the key tree (trial,) -> (trial, k) -> (trial, k, m),
+        # one array per level; the received noise's level only when estimating
+        noise_level = (np.arange(1, mm + 1),) if estimated else ()
+        words = seed_words(cfg.seed, trial, np.arange(1, k_dev + 1)[:, None], *noise_level)
 
         channels = [
-            sample_channel(self.geometry, k, generator(words[k]), self.profile)
-            for k in range(1, k_dev + 1)
+            sample_channel(self.geometry, k0 + 1, generator(words[1][k0, 0]), self.profile)
+            for k0 in range(k_dev)
         ]
         h_true = np.stack([ch.h for ch in channels])  # (K, M, N)
 
@@ -335,10 +334,9 @@ class _SweepContext:
         estimates = {}
         if estimated:
             xs = [transmit(self.precoders, frames[m0]) for m0 in range(mm)]
-            noise_words = words[1 + k_dev :].reshape(k_dev, mm, 4)
             blocks = [
                 [
-                    receive(channels[k0], xs[m0], self.noise, generator(noise_words[k0, m0]), m0 + 1)
+                    receive(channels[k0], xs[m0], self.noise, generator(words[2][k0, m0]), m0 + 1)
                     for m0 in range(mm)
                 ]
                 for k0 in range(k_dev)

@@ -1,19 +1,17 @@
-"""Seed words for many spawn keys in one pass.
+"""Seed words for a tree of spawn keys, one pass per key level.
 
-``generator(seed_words(seed, keys)[i])`` is the generator
-``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys[i]))``:
-the same PCG64 state, so the same stream.  ``SeedSequence`` hashes its entropy
+``generator(seed_words(seed, *key)[-1])`` is the generator
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``: the
+same PCG64 state, so the same stream.  ``SeedSequence`` hashes its entropy
 word by word in interpreted loops, tens of microseconds per key.  Here
-NumPy's documented hash (the entropy assembly, ``hashmix``/``mix`` into a
-4-word pool and ``generate_state(4, uint64)``) runs once over uint32 arrays
-that hold every key, and each PCG64 seeds itself from its four words through
+NumPy's documented hash runs over uint32 arrays: the run entropy goes into
+the 4-word pool once, each key level's word is mixed (``hashmix``/``mix``)
+into its prefix's pool, and ``generate_state(4, uint64)`` draws every key's
+words from its pool.  Each PCG64 seeds itself from its four words through
 NumPy's own code.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -36,12 +34,7 @@ def _uint32_words(value: int) -> list[int]:
     value = int(value)
     if value < 0:
         raise ValueError("the seed must be nonnegative")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hasher(init: int, mult: int):
@@ -61,70 +54,66 @@ def _hasher(init: int, mult: int):
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_MULT_L
-    out -= y * _MIX_MULT_R
+    # not in place: y may be wider than x, and the result takes the wider shape
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
     out ^= out >> _XSHIFT
     return out
 
 
-def seed_words(seed: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` per key.
+def seed_words(seed: int, *levels) -> list[np.ndarray]:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
+    every key of a tree.
 
-    Returns a (len(keys), 4) uint64 array.  Keys may differ in length.  The
-    seed may be any nonnegative integer; keys with an element of 2**32 or
-    more are handed to ``SeedSequence`` itself.
+    Level i holds the keys' word i: an integer or an integer array in
+    [0, 2**32) that broadcasts against the earlier levels.  Returns one
+    (*shape, 4) uint64 array per level, ``shape`` the broadcast shape of the
+    levels up to it, whose entry j is the words of the key made of every
+    level's word at j.  The seed may be any nonnegative integer; a key word
+    outside [0, 2**32) raises ValueError.
     """
-    n = len(keys)
-    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=n)
-    try:
-        parts = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(lengths.sum()))
-    except OverflowError:
-        parts = None
-    if parts is None or (parts.size and (parts.min() < 0 or parts.max() > _MASK32)):
-        return np.array(
-            [np.random.SeedSequence(seed, spawn_key=tuple(k)).generate_state(4, np.uint64)
-             for k in keys],
-            dtype=np.uint64,
-        ).reshape(n, 4)
-
-    # one word per key element after the run entropy, which is zero-padded
-    # to the pool size ahead of a spawn key (without one the pool is filled
-    # by hashing zeros, which is the same)
+    # the run entropy is zero-padded to the pool size ahead of a spawn key
+    # (without one the pool is filled by hashing zeros, which is the same);
+    # the pool holds uint32 arrays of ndim >= 1, so no step meets NumPy's
+    # scalar arithmetic
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    entropy = np.zeros((len(run) + int(lengths.max(initial=0)), n), dtype=np.uint32)
-    entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None]
-    key_of = np.repeat(np.arange(n), lengths)
-    entropy[len(run) + np.arange(parts.size) - (np.cumsum(lengths) - lengths)[key_of], key_of] = parts
-    lengths += len(run)
-    width = len(entropy)
-
+    entropy = np.array(run, dtype=np.uint32)[:, None]
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, width):
-        # only the keys whose entropy reaches word i_src take it in
-        present = lengths > i_src
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = np.where(present, _mix(pool[i_dst], hashmix(entropy[i_src])), pool[i_dst])
+    for word in entropy[_POOL_SIZE:]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
 
-    # generate_state(4, np.uint64): eight words drawn round the pool, read
-    # as little-endian pairs
-    draw = _hasher(_INIT_B, _MULT_B)
-    state = np.empty((n, 2 * _POOL_SIZE), dtype="<u4")
-    for i_dst in range(2 * _POOL_SIZE):
-        state[:, i_dst] = draw(pool[i_dst % _POOL_SIZE])
-    return state.view("<u8").astype(np.uint64)
+    shape, out = (), []
+    for level in levels:
+        word = np.asarray(level)
+        if word.dtype.kind not in "iu" or (word.size and (word.min() < 0 or word.max() > _MASK32)):
+            raise ValueError(f"key words must be integers in [0, 2**32), got {level!r}")
+        shape = np.broadcast_shapes(shape, word.shape)
+        word = np.atleast_1d(word.astype(np.uint32))
+        pool = [_mix(p, hashmix(word)) for p in pool]
+
+        # generate_state(4, np.uint64): eight words drawn round the pool,
+        # read as little-endian pairs
+        draw = _hasher(_INIT_B, _MULT_B)
+        state = np.stack([draw(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=-1)
+        out.append(state.astype("<u4").view("<u8").astype(np.uint64).reshape(shape + (4,)))
+    return out
 
 
 class _SeedWords(ISeedSequence):
     """Hands PCG64 four seed words derived by :func:`seed_words`."""
 
     def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+        words = np.asarray(words)
+        # PCG64 reads the raw buffer: anything but four unsigned 64-bit
+        # words would be misread, so any other shape or type is refused
+        if words.shape != (4,) or words.dtype.kind != "u" or words.dtype.itemsize != 8:
+            raise ValueError(f"PCG64 takes four uint64 seed words, got {words.dtype} {words.shape}")
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != 4 or np.dtype(dtype) != np.uint64:
@@ -133,9 +122,11 @@ class _SeedWords(ISeedSequence):
 
 
 def generator(words: np.ndarray) -> np.random.Generator:
-    """The PCG64 generator seeded with one row of :func:`seed_words`.
+    """The PCG64 generator seeded with one key's words from :func:`seed_words`.
 
-    ``generator(seed_words(seed, [key])[0])`` draws the same stream as
+    ``generator(seed_words(seed, *key)[-1])`` draws the same stream as
     ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``.
+    ``words`` must hold four unsigned 64-bit words, shape (4,), in any
+    layout or byte order; anything else raises ValueError.
     """
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))

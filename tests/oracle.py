@@ -5,13 +5,16 @@ The simulator evaluates each quantity here once, in batched code:
 ``per_device_max_se``, ``estimation.sweep_scores`` and
 ``seeding.seed_words``.  This module writes each as one plain formula for
 one device, one candidate or one pair of family members, built from
-``family.member(k)`` products and never from the batched code, so the
-tests can hold that code to something it does not share.  The simulator
-never evaluates two of them: ``snr_db``, the received SNR of one
-realization, whose ensemble mean in linear scale the config field of that
-name sets, and ``combining_ceiling``, the yardstick of the estimated
-scheme.  ``receiver_noise`` repeats ``transceiver.receive``'s draw, so a
-test can rebuild a block's noise from a generator seeded the same way.
+``family.member(k)`` and ``precoders.slot(n)`` products and never from the
+batched code, so the tests can hold that code to something it does not
+share.  The simulator never evaluates two of them: ``snr_db``, the
+received SNR of one realization, whose ensemble mean in linear scale the
+config field of that name sets, and ``combining_ceiling``, the yardstick of
+the estimated scheme.  ``key_rng`` builds one spawn key's generator from
+``SeedSequence`` itself, and ``receiver_noise`` repeats
+``transceiver.receive``'s draw, so ``received_block`` rebuilds a block,
+noise included, slot by slot; from these and the per-candidate formulas
+the tests rebuild every row of small genie and estimated-CSIR runs.
 Device, member and slot indices are 1-based, as in the paper.
 """
 
@@ -33,6 +36,15 @@ def receiver_noise(rng, n: int, noise) -> np.ndarray:
     scale = math.sqrt(noise.variance / 2.0)
     re = scale * rng.standard_normal(n)
     return re + 1j * (scale * rng.standard_normal(n))
+
+
+def received_block(h, symbols, precoders, noise, rng) -> np.ndarray:
+    """One device's block on one subcarrier, slot by slot:
+    y_n = sqrt(p_t) * h^H (P_n s / sqrt(N)) + z_n, with P_n = ``precoders.slot(n)``
+    and z the :func:`receiver_noise` of ``rng``."""
+    n = len(symbols)
+    signal = [np.vdot(h, precoders.slot(s) @ symbols / math.sqrt(n)) for s in range(1, n + 1)]
+    return math.sqrt(noise.tx_power) * np.array(signal) + receiver_noise(rng, n, noise)
 
 
 def circulant_index(n: int) -> np.ndarray:

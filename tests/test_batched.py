@@ -4,7 +4,8 @@ The codebook sweep, the achieved spectral efficiency and the channel
 synthesis each run as one array pass; the scalar formulas of
 ``tests/oracle.py`` (``estimate_gain``, ``score_candidate``,
 ``achieved_sinr``) and ``channel.array_response`` are the reference each
-pass must reproduce.
+pass must reproduce, and the rows of whole estimated-CSIR runs are rebuilt
+from them.
 """
 
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from circle_mimo.channel import (
@@ -35,11 +36,19 @@ from circle_mimo.estimation import (
     sweep_scores,
     wideband_search,
 )
-from circle_mimo.harness import preset, run_experiment, write_csv
+from circle_mimo.harness import ExperimentConfig, _SweepContext, preset, run_experiment, write_csv
 from circle_mimo.receiver import SINR_CAP, DegenerateChannelError, per_device_achieved_se
 from circle_mimo.transceiver import ReceivedBlock, make_frame, receive, transmit
 from conftest import los_channel
-from oracle import achieved_sinr, estimate_gain, lowest_same_sine, score_candidate, se_bits
+from oracle import (
+    achieved_sinr,
+    estimate_gain,
+    key_rng,
+    lowest_same_sine,
+    received_block,
+    score_candidate,
+    se_bits,
+)
 
 N = 8
 FAM = build_family(N)
@@ -60,29 +69,43 @@ def product_roundoff(cand, member, y):
     return 2 * len(y) * EPS * float(np.abs(cand) @ (np.abs(member) @ np.abs(y)))
 
 
-def check_candidate(alpha_conj, score, cand, y, family, pilots, noise, cap=SINR_CAP):
-    """The sweep's ``alpha_conj`` and ``score`` of one candidate against the
-    scalar gain and score, each within the roundoff that the size of the
-    terms summed allows: a gain whose inner product cancels is only as
-    precise as the terms it cancelled from."""
+def candidate_roundoff(cand, alpha, score, y, family, pilots, noise, cand_err=0.0, y_err=0.0):
+    """Bounds (d_alpha, d_score) on how far a batched gain estimate alpha^*
+    and score of one candidate may lie from the scalar ``alpha`` and
+    ``score``, from the size of the terms summed: a gain whose inner product
+    cancels is only as precise as the terms it cancelled from.  ``cand_err``
+    and ``y_err`` bound the entries' own errors where the batched code built
+    the candidate or the block another way; each enters the products as
+    their roundoff does.  With a zero gain no relative bound holds."""
     n = family.n
     scale = math.sqrt(noise.tx_power * n)
     p_1, p_2 = scale * pilots[0], scale * pilots[1]
-    alpha = estimate_gain(cand, y, family, pilots[0], noise)
-    d_alpha = product_roundoff(cand, family.member(n - 1), y) / abs(p_1)
-    assert abs(alpha_conj - np.conj(alpha)) <= d_alpha
-    want = score_candidate(cand, alpha, y, family, pilots[1], noise, cap)
+    widen = 2 * n * EPS
+    cand_size, y_size = np.abs(cand) + cand_err / widen, np.abs(y) + y_err / widen
+    d_alpha = product_roundoff(cand_size, family.member(n - 1), y_size) / abs(p_1)
     if alpha == 0:
-        assert alpha_conj == 0 and score == want == 0.0
-        return
+        return d_alpha, math.inf
     # the residual d_2 - p_2 alpha^* carries the roundoff of d_2 and p_2 times
     # that of alpha^*; log2(1 + gamma) moves by at most the relative error of
     # gamma over ln 2, and gamma = |p_2 alpha|^2 / |residual|^2
     d_2 = cand @ (family.member(n).conj() @ y)
     resid = abs(d_2 - p_2 * np.conj(alpha))
-    d_resid = product_roundoff(cand, family.member(n), y) + abs(p_2) * d_alpha
+    d_resid = product_roundoff(cand_size, family.member(n), y_size) + abs(p_2) * d_alpha
     rel_gamma = 2 * d_alpha / abs(alpha) + (2 * d_resid / resid if resid > 0 else math.inf)
-    assert abs(score - want) <= rel_gamma / math.log(2) + 4 * EPS * want
+    return d_alpha, rel_gamma / math.log(2) + 4 * EPS * score
+
+
+def check_candidate(alpha_conj, score, cand, y, family, pilots, noise, cap=SINR_CAP):
+    """The sweep's ``alpha_conj`` and ``score`` of one candidate against the
+    scalar gain and score, each within :func:`candidate_roundoff`."""
+    alpha = estimate_gain(cand, y, family, pilots[0], noise)
+    want = score_candidate(cand, alpha, y, family, pilots[1], noise, cap)
+    d_alpha, d_score = candidate_roundoff(cand, alpha, want, y, family, pilots, noise)
+    assert abs(alpha_conj - np.conj(alpha)) <= d_alpha
+    if alpha == 0:
+        assert alpha_conj == 0 and score == want == 0.0
+        return
+    assert abs(score - want) <= d_score
 
 
 def device_blocks(rng, mm, noise, pilots):
@@ -275,6 +298,131 @@ def test_sample_channel_is_the_sum_of_array_responses(seed, mm, n, n_nlos, bandw
             vec = vec + ch.nlos_gains[m0, l0] * array_response(geom, ch.nlos_aods[l0], m0 + 1)
         want[m0] = vec
     assert np.array_equal(ch.h, want)
+
+
+def scalar_sweep(cfg, ctx, trial):
+    """Every (device, subcarrier) of one estimated-CSIR trial rebuilt from
+    the scalar formulas, with every stream from ``key_rng``: the true
+    channel h (K, M, N), and per grid index the candidate, its gain, its
+    score and the band its batched score may lie in, each (K, M, Q, ...)."""
+    k_dev, mm, n, noise, fam = cfg.n_devices, cfg.n_subcarriers, ctx.n, ctx.noise, ctx.family
+    rng = key_rng(cfg.seed, trial)
+    frames = [make_frame(n, cfg.symbol_source, rng) for _ in range(mm)]
+    h = np.array([
+        sample_channel(ctx.geometry, k, key_rng(cfg.seed, trial, k), ctx.profile).h
+        for k in range(1, k_dev + 1)
+    ])
+    shape = (k_dev, mm, cfg.q_levels)
+    cands = np.empty(shape + (n,), dtype=complex)
+    alphas, scores, bands = np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape)
+    for k0, m0 in np.ndindex(k_dev, mm):
+        symbols = frames[m0].symbols
+        y = received_block(h[k0, m0], symbols, ctx.precoders, noise,
+                           key_rng(cfg.seed, trial, k0 + 1, m0 + 1))
+        # the harness forms the same block from another order of the same
+        # products: each of the two N-term sums errs by up to 2(N+1) eps of
+        # its terms, and the noise is added once more
+        terms = [np.abs(h[k0, m0]) @ (np.abs(ctx.precoders.slot(s)) @ np.abs(symbols))
+                 for s in range(1, n + 1)]
+        y_err = 4 * (n + 1) * EPS * math.sqrt(noise.tx_power / n) * np.array(terms)
+        y_err += 2 * EPS * np.abs(y)
+        pilots = (frames[m0].pilot1, frames[m0].pilot2)
+        ratio = ctx.geometry.subcarrier_freq_hz(m0 + 1) / ctx.geometry.carrier_freq_hz
+        for q0, theta in enumerate(ctx.codebook.angles):
+            cand = array_response(ctx.geometry, theta, m0 + 1)
+            alpha = estimate_gain(cand, y, fam, pilots[0], noise)
+            score = score_candidate(cand, alpha, y, fam, pilots[1], noise)
+            # the table's z**p and array_response's exp(i*phase) each round a
+            # phase that grows with p, and the table multiplies up to 2 log2 N
+            # times: 4 eps (|phase| + log2 N) bounds their gap at N <= 6
+            phase = np.pi * ratio * np.arange(n) * np.sin(theta)
+            cand_err = 4 * EPS * (np.abs(phase) + math.log2(n))
+            band = candidate_roundoff(cand, alpha, score, y, fam, pilots, noise, cand_err, y_err)[1]
+            cands[k0, m0, q0], alphas[k0, m0, q0] = cand, alpha
+            scores[k0, m0, q0], bands[k0, m0, q0] = score, band
+    return h, cands, alphas, scores, bands
+
+
+def scalar_pick(scores, bands, same_sine, q_got):
+    """The grid index whose candidate the scalar rebuild takes, given the
+    harness's 0-based pick ``q_got`` (a lowest same-sine index): the argmax
+    of ``scores``, or the best index of the second-best sine when the two
+    best sines' scores lie within their summed bands.  Returns (index,
+    whether a near tie was taken)."""
+    best = int(np.argmax(scores))
+    if q_got == same_sine[best]:
+        return best, False
+    others = same_sine != same_sine[best]
+    second = int(np.argmax(np.where(others, scores, -np.inf)))
+    near = others.any() and scores[best] - scores[second] <= bands[best] + bands[second]
+    assert near and q_got == same_sine[second], (q_got, same_sine[best])
+    return second, True
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k_dev=st.integers(1, 4),
+    mm=st.sampled_from([1, 2, 3]),
+    cp_len=st.sampled_from([0, 2]),
+    rho=st.sampled_from([2.0, 1 / 8]),
+    q_levels=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+# sines +1 and -1 (Q = 4) give one steering vector at the carrier frequency,
+# phase pi against -pi: a near tie the harness may break either way
+@example(k_dev=2, mm=1, cp_len=2, rho=2.0, q_levels=4, seed=3890476332)
+@example(k_dev=4, mm=3, cp_len=2, rho=1 / 8, q_levels=32, seed=1)
+def test_every_estimated_rows_picks_and_se_follow_the_scalar_rule(
+    k_dev, mm, cp_len, rho, q_levels, seed
+):
+    """Each estimated-CSIR row rebuilt from the scalar formulas: circle picks
+    each (device, subcarrier)'s best grid index, r-circle the best of the
+    scores summed over subcarriers over M + L_cp, both at the lowest index
+    of the winning sine, and each device's SE is sum_m log2(1 + SINR_km) /
+    (M + L_cp) with the achieved SINR of combining with alpha times the
+    picked candidate."""
+    cfg = ExperimentConfig(
+        n_devices=k_dev, n_subcarriers=mm, cp_len=cp_len, rho=rho, q_levels=q_levels,
+        methods=("circle", "r-circle"), n_trials=2, seed=seed,
+    )
+    ctx = _SweepContext(cfg, None)
+    same_sine = lowest_same_sine(ctx.codebook)
+    weight = mm + cp_len
+    rows = {(row.trial_index, row.method): row for row in run_experiment(cfg)}
+    near_ties = 0
+    for trial in range(cfg.n_trials):
+        h, cands, alphas, scores, bands = scalar_sweep(cfg, ctx, trial)
+        for method in ("circle", "r-circle"):
+            row = rows[trial, method]
+            picks = np.empty((k_dev, mm), dtype=int)
+            if method == "circle":
+                assert len(row.q_star) == k_dev * mm
+                for (k0, m0), q_got in zip(np.ndindex(k_dev, mm), row.q_star):
+                    picks[k0, m0], near = scalar_pick(
+                        scores[k0, m0], bands[k0, m0], same_sine, q_got - 1
+                    )
+                    near_ties += near
+            else:
+                assert len(row.q_star) == k_dev
+                for k0, q_got in enumerate(row.q_star):
+                    total = scores[k0].sum(axis=0) / weight
+                    band = bands[k0].sum(axis=0) / weight + 2 * mm * EPS * total
+                    picks[k0], near = scalar_pick(total, band, same_sine, q_got - 1)
+                    near_ties += near
+            want = [
+                sum(
+                    se_bits(achieved_sinr(
+                        alphas[k0, m0, picks[k0, m0]] * cands[k0, m0, picks[k0, m0]],
+                        h[k0, m0], ctx.family, k0 + 1, ctx.noise,
+                    ))
+                    for m0 in range(mm)
+                ) / weight
+                for k0 in range(k_dev)
+            ]
+            np.testing.assert_allclose(row.per_device_se, want, rtol=1e-9)
+    if near_ties:
+        event(f"{near_ties} near-tie pick(s) went to the second-best sine")
+        print(f"seed {seed}: {near_ties} near-tie pick(s) went to the second-best sine")
 
 
 def test_small_fig4d_run_reproduces_the_golden_csv(tmp_path):

@@ -1,6 +1,7 @@
-"""The one-pass seed words against NumPy's ``SeedSequence``, key by key."""
+"""The per-level seed words against NumPy's ``SeedSequence``, key by key."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,62 +14,117 @@ from circle_mimo.seeding import generator, seed_words
 from oracle import key_rng
 
 SEEDS = (0, 1, 11, 2**32 - 1, 2**32 + 5, 2**70 + 3)
-KEYS = (
-    (0,), (5,), (2**32 - 1,),
-    (0, 0), (7, 2**32 - 1), (2**32 - 1, 0),
-    (0, 1, 2), (3, 0, 2**32 - 1), (2**32 - 1, 2**32 - 1, 2**32 - 1),
-)
+# a tree three levels deep whose every level holds both ends of a key word
+TREE = ((0, 5, 2**32 - 1), (2**32 - 1, 0), (0, 2, 2**32 - 1))
 
 
 def reference_words(seed, key):
     return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
 
 
+def tree_levels(tree):
+    """Level i's words along axis i: shape (n_i,), then one unit axis per
+    later level, so that each level broadcasts into the next."""
+    return [np.array(w).reshape((-1,) + (1,) * (len(tree) - 1 - i)) for i, w in enumerate(tree)]
+
+
+def tree_keys(tree):
+    """Every key prefix of the tree, with its index into its level's words."""
+    for depth in range(1, len(tree) + 1):
+        for idx in product(*(range(len(w)) for w in tree[:depth])):
+            key = tuple(w[j] for w, j in zip(tree, idx))
+            yield depth - 1, idx + (0,) * (len(tree) - depth), key
+
+
+def check_tree(seed, tree):
+    words = seed_words(seed, *tree_levels(tree))
+    assert len(words) == len(tree)
+    for i, level in enumerate(words):
+        shape = tuple(len(w) for w in tree[: i + 1]) + (1,) * (len(tree) - 1 - i)
+        assert level.shape == shape + (4,) and level.dtype == np.uint64
+    for i, idx, key in tree_keys(tree):
+        assert np.array_equal(words[i][idx], reference_words(seed, key))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_words_equal_seed_sequence(seed):
-    words = seed_words(seed, KEYS)
-    assert words.shape == (len(KEYS), 4) and words.dtype == np.uint64
-    for key, row in zip(KEYS, words):
-        assert np.array_equal(row, reference_words(seed, key))
+    check_tree(seed, TREE)
+    # the harness's shape: a scalar trial, a column of devices, a row of subcarriers
+    trial, devices, subcarriers = seed_words(seed, 2**32 - 1, np.arange(3)[:, None], np.arange(2))
+    assert trial.shape == (4,) and devices.shape == (3, 1, 4) and subcarriers.shape == (3, 2, 4)
+    assert np.array_equal(trial, reference_words(seed, (2**32 - 1,)))
+    for k, m in product(range(3), range(2)):
+        assert np.array_equal(devices[k, 0], reference_words(seed, (2**32 - 1, k)))
+        assert np.array_equal(subcarriers[k, m], reference_words(seed, (2**32 - 1, k, m)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**128 - 1),
-    keys=st.lists(st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple), min_size=1, max_size=6),
+    tree=st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), min_size=1, max_size=4
+    ),
 )
-def test_words_equal_seed_sequence_for_any_seed_and_keys(seed, keys):
-    for key, row in zip(keys, seed_words(seed, keys)):
-        assert np.array_equal(row, reference_words(seed, key))
-
-
-def test_keys_past_32_bits_equal_seed_sequence():
-    keys = [(2**32,), (1, 2**40 + 3), (2**64 + 1, 0, 9), (4,)]
-    for seed in (0, 2**70 + 3):
-        for key, row in zip(keys, seed_words(seed, keys)):
-            assert np.array_equal(row, reference_words(seed, key))
+def test_words_equal_seed_sequence_for_any_seed_and_keys(seed, tree):
+    check_tree(seed, tree)
 
 
 def test_negative_seed_or_key_rejected():
-    with pytest.raises(ValueError):
-        seed_words(-1, [(0,)])
-    with pytest.raises(ValueError):
-        seed_words(3, [(1, -2)])
+    """A negative seed, and a key word outside [0, 2**32), negative or
+    wider than 32 bits, raise ValueError."""
+    cases = [
+        (-1, (0,)),
+        (3, (1, -2)),
+        (3, (2**70,)),
+        (3, (np.array([1, 2**32]),)),
+    ]
+    keys = [(2**32,), (1, 2**40 + 3), (2**64 + 1, 0, 9)]
+    cases += [(seed, key) for seed in (0, 2**70 + 3) for key in keys]
+    for seed, levels in cases:
+        with pytest.raises(ValueError):
+            seed_words(seed, *levels)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generators_draw_the_seed_sequence_streams(seed):
-    for key, words in zip(KEYS, seed_words(seed, KEYS)):
+    words = seed_words(seed, *tree_levels(TREE))
+    for i, idx, key in tree_keys(TREE):
         want = key_rng(seed, *key)
-        got = generator(words)
+        got = generator(words[i][idx])
         assert np.array_equal(got.integers(0, 2**63, size=64), want.integers(0, 2**63, size=64))
         assert np.array_equal(got.standard_normal(64), want.standard_normal(64))
 
 
 def test_generator_takes_only_pcg64_seed_words():
-    words = seed_words(1, [(2,)])[0]
+    (words,) = seed_words(1, 2)
     with pytest.raises(ValueError):
         np.random.MT19937(generator(words).bit_generator.seed_seq)
+
+
+def test_generator_reads_words_in_any_layout():
+    # PCG64 reads the raw buffer it is handed: a strided view or big-endian
+    # words must seed the stream their values do
+    (words,) = seed_words(7, 3)
+    held = np.zeros((4, 3), dtype=np.uint64)
+    held[:, 1] = words
+    for layout in (held[:, 1], words.astype(">u8")):
+        want = key_rng(7, 3).standard_normal(16)
+        assert np.array_equal(generator(layout).standard_normal(16), want)
+
+
+def test_generator_rejects_words_of_another_shape_or_type():
+    (words,) = seed_words(7, 3)
+    for bad in (words[:3], words[None], words.astype(float), words.astype(np.int64),
+                words.astype(np.uint32)):
+        with pytest.raises(ValueError):
+            generator(bad)
+
+
+def test_n_trials_beyond_the_32_bit_trial_word_rejected():
+    cfg = replace(preset("fig4d"), sweep_param=None, sweep_values=None, n_devices=4)
+    replace(cfg, n_trials=2**32).validate()
+    with pytest.raises(ValueError, match="n_trials"):
+        replace(cfg, n_trials=2**32 + 1).validate()
 
 
 def test_a_trials_channels_and_noise_equal_those_built_key_by_key(monkeypatch):
