@@ -5,10 +5,11 @@ experiment seed, (trial,) for frame symbols, (trial, device) for channel
 realizations and (trial, device, subcarrier) for receiver noise, so a
 trial's results depend only on the config and the trial index, and the
 serially run trials give byte-identical CSVs for a fixed seed.  The keys
-form a tree, and a trial derives the seed words of each of its levels in
-one vectorised step of NumPy's ``SeedSequence`` hash (``seeding``), which
-gives the streams ``SeedSequence(seed, spawn_key=key)`` gives; a key word
-is 32 bits, so ``n_trials`` is at most 2**32.  Wall-clock timings are
+form a tree: the run entropy's pool is ``SeedSequence(seed).pool``, and a
+trial derives the seed words of each of its levels in one vectorised step
+of NumPy's hash (``seeding``), which gives the streams
+``SeedSequence(seed, spawn_key=key)`` gives; a key word is 32 bits, so
+``n_trials`` is at most 2**32.  Wall-clock timings are
 measured per method but written to the CSV as 0 unless explicitly
 requested, keeping the default output deterministic.
 

@@ -3,12 +3,12 @@
 ``generator(seed_words(seed, *key)[-1])`` is the generator
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``: the
 same PCG64 state, so the same stream.  ``SeedSequence`` hashes its entropy
-word by word in interpreted loops, tens of microseconds per key.  Here
-NumPy's documented hash runs over uint32 arrays: the run entropy goes into
-the 4-word pool once, each key level's word is mixed (``hashmix``/``mix``)
-into its prefix's pool, and ``generate_state(4, uint64)`` draws every key's
-words from its pool.  Each PCG64 seeds itself from its four words through
-NumPy's own code.
+word by word in interpreted loops, tens of microseconds per key.  The run
+entropy's 4-word pool is NumPy's own, ``SeedSequence(seed).pool``; here
+NumPy's documented hash then runs over uint32 arrays: each key level's word
+is mixed (``hashmix``/``mix``) into its prefix's pool, and
+``generate_state(4, uint64)`` draws every key's words from its pool.  Each
+PCG64 seeds itself from its four words through NumPy's own code.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer, ``[0]`` for 0."""
-    value = int(value)
-    if value < 0:
-        raise ValueError("the seed must be nonnegative")
-    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hasher(init: int, mult: int):
@@ -68,24 +60,18 @@ def seed_words(seed: int, *levels) -> list[np.ndarray]:
     [0, 2**32) that broadcasts against the earlier levels.  Returns one
     (*shape, 4) uint64 array per level, ``shape`` the broadcast shape of the
     levels up to it, whose entry j is the words of the key made of every
-    level's word at j.  The seed may be any nonnegative integer; a key word
-    outside [0, 2**32) raises ValueError.
+    level's word at j.  The run pool comes from NumPy's ``SeedSequence``,
+    the levels are hashed here.  The seed must be a nonnegative integer: a
+    negative one raises ValueError, a float, string, sequence or bool
+    TypeError.  A key word outside [0, 2**32) raises ValueError.
     """
-    # the run entropy is zero-padded to the pool size ahead of a spawn key
-    # (without one the pool is filled by hashing zeros, which is the same);
-    # the pool holds uint32 arrays of ndim >= 1, so no step meets NumPy's
-    # scalar arithmetic
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = np.array(run, dtype=np.uint32)[:, None]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        pool = [_mix(p, hashmix(word)) for p in pool]
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"the seed must be an integer, got {seed!r}")
+    # the levels' hash resumes after the 4 * max(4, w) calls that mixed the
+    # pool (w = the seed's 32-bit words); ndim >= 1 avoids scalar arithmetic
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    calls = _POOL_SIZE * max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32, _MULT_A)
 
     shape, out = (), []
     for level in levels:

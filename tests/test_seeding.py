@@ -13,7 +13,9 @@ from circle_mimo.harness import preset
 from circle_mimo.seeding import generator, seed_words
 from oracle import key_rng
 
-SEEDS = (0, 1, 11, 2**32 - 1, 2**32 + 5, 2**70 + 3)
+# the last two are wider than the 4-word pool, so NumPy mixes their extra
+# words in after the pool's own mixing
+SEEDS = (0, 1, 11, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 7, 2**256 - 1)
 # a tree three levels deep whose every level holds both ends of a key word
 TREE = ((0, 5, 2**32 - 1), (2**32 - 1, 0), (0, 2, 2**32 - 1))
 
@@ -60,7 +62,7 @@ def test_words_equal_seed_sequence(seed):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    seed=st.integers(0, 2**128 - 1),
+    seed=st.integers(0, 2**256 - 1),
     tree=st.lists(
         st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), min_size=1, max_size=4
     ),
@@ -71,7 +73,9 @@ def test_words_equal_seed_sequence_for_any_seed_and_keys(seed, tree):
 
 def test_negative_seed_or_key_rejected():
     """A negative seed, and a key word outside [0, 2**32), negative or
-    wider than 32 bits, raise ValueError."""
+    wider than 32 bits, raise ValueError; a seed that is no integer (a
+    float, a string, a sequence NumPy would take as entropy, None, which
+    NumPy would fill from the OS, or a bool) raises TypeError."""
     cases = [
         (-1, (0,)),
         (3, (1, -2)),
@@ -83,6 +87,9 @@ def test_negative_seed_or_key_rejected():
     for seed, levels in cases:
         with pytest.raises(ValueError):
             seed_words(seed, *levels)
+    for seed in (1.5, np.float64(2.0), "7", [1, 2], (3,), np.array([1, 2]), None, True):
+        with pytest.raises(TypeError):
+            seed_words(seed, 3)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -128,9 +135,17 @@ def test_n_trials_beyond_the_32_bit_trial_word_rejected():
 
 
 def test_a_trials_channels_and_noise_equal_those_built_key_by_key(monkeypatch):
+    check_trial_streams(monkeypatch, 2**40 + 7)
+
+
+def test_a_trials_streams_at_a_seed_wider_than_the_pool(monkeypatch):
+    check_trial_streams(monkeypatch, 2**130 + 7)
+
+
+def check_trial_streams(monkeypatch, seed):
     cfg = replace(
         preset("fig4d"), sweep_param=None, sweep_values=None, n_devices=5, n_subcarriers=3,
-        q_levels=16, n_trials=2, seed=2**40 + 7,
+        q_levels=16, n_trials=2, seed=seed,
     )
     ctx = harness._SweepContext(cfg, None)
     sample_channel, receive, make_frame = harness.sample_channel, harness.receive, harness.make_frame
