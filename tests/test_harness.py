@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -269,6 +270,38 @@ class TestPresets:
         assert cfg.q_levels == 512
         assert cfg.delta2_db == -15.0
         assert cfg.snr_db == 10.0
+
+    # every field a preset sets away from ExperimentConfig()'s defaults,
+    # written out; the rest of each resolved config must be the defaults
+    RESOLVED = {
+        "fig2": dict(
+            n_antennas=32, snr_db=None, p_t_db=0.0, n_subcarriers=1, cp_len=0,
+            bandwidth_hz=0.0, csir="genie", methods=("bound", "circle"),
+            sweep_param="delta2_db", sweep_values=(-40.0, -30.0, -20.0, -10.0, -5.0),
+        ),
+        "fig4a": dict(rho=0.03125, sweep_param="n_devices", sweep_values=(10, 20, 30)),
+        "fig4b": dict(rho=0.125, sweep_param="n_devices", sweep_values=(10, 20, 30)),
+        "fig4c": dict(rho=0.5, sweep_param="n_devices", sweep_values=(10, 20, 30)),
+        "fig4d": dict(sweep_param="n_devices", sweep_values=(10, 20, 30)),
+        "fig5": dict(
+            methods=("bound", "r-circle", "wmmse", "zf", "mrt"),
+            sweep_param="n_devices", sweep_values=(10, 20, 30),
+        ),
+        "fig6": dict(
+            methods=("bound", "r-circle", "wmmse", "zf", "mrt"),
+            sweep_param="snr_db", sweep_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_resolved_config(self, name):
+        got = dataclasses.asdict(preset(name))
+        want = {**dataclasses.asdict(ExperimentConfig()), **self.RESOLVED[name]}
+        assert got == want
+        assert repr(got) == repr(want)  # an int sweep value stays an int
+
+    def test_resolved_configs_cover_every_preset(self):
+        assert set(PRESET_NAMES) == set(self.RESOLVED)
 
     def test_every_preset_validates(self):
         for name in PRESET_NAMES:
