@@ -69,14 +69,20 @@ class ArrayGeometry:
         return self.carrier_freq_hz + self.bandwidth_hz * (2 * m - 1 - mm) / (2 * mm)
 
     @cached_property
+    def freq_ratios(self) -> np.ndarray:
+        """(M,) read-only ratios f_m/f_c, the phase slopes that ``phase_base``
+        and ``Codebook.tables`` read."""
+        freqs = [self.subcarrier_freq_hz(m) for m in range(1, self.n_subcarriers + 1)]
+        ratios = np.array(freqs) / self.carrier_freq_hz
+        ratios.flags.writeable = False
+        return ratios
+
+    @cached_property
     def phase_base(self) -> np.ndarray:
         """(M, 1, N) phases i*pi*(f_m/f_c)*p of antenna p per unit sine on
         subcarrier m, built once per geometry for :func:`sample_channel`."""
-        ratios = np.array(
-            [self.subcarrier_freq_hz(m) for m in range(1, self.n_subcarriers + 1)]
-        ) / self.carrier_freq_hz
         p = np.arange(self.n_antennas)
-        base = ((1j * np.pi * ratios)[:, None] * p)[:, None, :]
+        base = ((1j * np.pi * self.freq_ratios)[:, None] * p)[:, None, :]
         base.flags.writeable = False
         return base
 
@@ -199,9 +205,15 @@ def sample_channel(
 def _complex_normal(rng: np.random.Generator, var: float, shape) -> np.ndarray:
     """CN(0, var) draws: real and imaginary parts i.i.d. N(0, var/2).
 
-    Draws are always consumed, even for var = 0, so realizations with
-    different variances but the same seed stay coupled draw for draw.
+    The real parts are drawn first, then the imaginary parts, each scaled
+    by sqrt(var/2) straight into the result.  Draws are always consumed,
+    even for var = 0, so realizations with different variances but the
+    same seed stay coupled draw for draw.
     """
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) * math.sqrt(var / 2.0)
+    scale = math.sqrt(var / 2.0)
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out

@@ -17,8 +17,8 @@ top of itself (2N x N).  The three N x N x N arrays here are read-only views
 of those tables, and the whole set-up costs O(N^2) in time and memory.
 
 Index conventions: the construction is naturally 1-based (member k, slot n,
-device k), and the ``member`` and ``slot`` accessors take 1-based
-arguments.  All ndarray storage is plain 0-based numpy.
+device k), and the ``member`` accessor takes a 1-based argument.  All
+ndarray storage is plain 0-based numpy: ``slots[n0]`` is slot n0 + 1.
 """
 
 from __future__ import annotations
@@ -59,20 +59,6 @@ class PermutedDftFamily:
         return out
 
 
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Slot precoders, a read-only view of the family: slot n, column k is member k, column n."""
-
-    n: int
-    slots: np.ndarray  # (n, n, n) complex, read-only; slots[n0] is the slot-(n0+1) precoder
-
-    def slot(self, n: int) -> np.ndarray:
-        """1-based accessor for the precoder applied in time slot n."""
-        if not 1 <= n <= self.n:
-            raise ValueError(f"slot index {n} out of range 1..{self.n}")
-        return self.slots[n - 1]
-
-
 def build_dft(n: int) -> np.ndarray:
     """The unitary n x n DFT matrix, u[p, j] = exp(-2i*pi*p*j/n) / sqrt(n) (0-based)."""
     if n < 1:
@@ -96,15 +82,15 @@ def build_family(n: int) -> PermutedDftFamily:
     return PermutedDftFamily(n=n, members=windows[:, n:0:-1].transpose(1, 0, 2))
 
 
-def build_precoders(family: PermutedDftFamily) -> PrecoderSet:
-    """Assemble the per-slot precoders from a permuted-DFT family.
+def build_precoders(family: PermutedDftFamily) -> np.ndarray:
+    """The per-slot precoders of a permuted-DFT family, shape (n, n, n).
 
-    Slot n, column k equals family member k, column n, so restacking the
-    k-th columns across all slots reproduces member k exactly.  The slots
-    are a read-only transposed view of ``family.members``, with no copy.
+    ``slots[n0]`` is the precoder of slot n0 + 1, and its column k0 is
+    member k0 + 1's column n0, so restacking the k-th columns across all
+    slots reproduces member k exactly.  The slots are a read-only
+    transposed view of ``family.members``, with no copy.
     """
-    # members[k0][:, n0] and slots[n0][:, k0] are the same DFT column.
-    return PrecoderSet(n=family.n, slots=family.members.transpose(2, 1, 0))
+    return family.members.transpose(2, 1, 0)
 
 
 def pairwise_diagonals(family: PermutedDftFamily) -> np.ndarray:

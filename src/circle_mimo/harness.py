@@ -66,9 +66,6 @@ KNOWN_METHODS = ("circle", "r-circle", "bound", "mrt", "zf", "wmmse")
 # machinery this simulator does not model.
 UNAVAILABLE_METHODS = ("wo-csit-feedback",)
 
-PRESET_NAMES = ("fig2", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "fig6")
-
-
 @dataclass
 class ExperimentConfig:
     """Full parameterization of one Monte Carlo scenario.
@@ -245,49 +242,33 @@ class TrialResult:
     converged: tuple[bool, ...] = ()
 
 
+# figs. 4 and 5 sweep the device count; figs. 5 and 6 run the CSIT benchmarks
+_K_SWEEP = dict(sweep_param="n_devices", sweep_values=(10, 20, 30))
+_CSIT_METHODS = ("bound", "r-circle", "wmmse", "zf", "mrt")
+
+# the reference experiments: each preset's fields away from the defaults
+_PRESETS = {
+    "fig2": dict(
+        n_antennas=32, snr_db=None, p_t_db=0.0, n_subcarriers=1, cp_len=0,
+        bandwidth_hz=0.0, csir="genie", methods=("bound", "circle"),
+        sweep_param="delta2_db", sweep_values=(-40.0, -30.0, -20.0, -10.0, -5.0),
+    ),
+    "fig4a": dict(rho=1 / 32, **_K_SWEEP),
+    "fig4b": dict(rho=1 / 8, **_K_SWEEP),
+    "fig4c": dict(rho=1 / 2, **_K_SWEEP),
+    "fig4d": dict(_K_SWEEP),
+    "fig5": dict(methods=_CSIT_METHODS, **_K_SWEEP),
+    "fig6": dict(methods=_CSIT_METHODS, sweep_param="snr_db",
+                 sweep_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> ExperimentConfig:
     """Named scenario presets mirroring the reference experiments."""
-    if name == "fig2":
-        return ExperimentConfig(
-            n_devices=30,
-            n_antennas=32,
-            snr_db=None,
-            p_t_db=0.0,
-            sigma2_db=-10.0,
-            n_nlos=3,
-            rho=2.0,
-            n_subcarriers=1,
-            cp_len=0,
-            bandwidth_hz=0.0,
-            csir="genie",
-            methods=("bound", "circle"),
-            sweep_param="delta2_db",
-            sweep_values=(-40.0, -30.0, -20.0, -10.0, -5.0),
-        )
-    if name in ("fig4a", "fig4b", "fig4c", "fig4d"):
-        rho = {"fig4a": 1 / 32, "fig4b": 1 / 8, "fig4c": 1 / 2, "fig4d": 2.0}[name]
-        return ExperimentConfig(
-            rho=rho,
-            methods=("bound", "circle", "r-circle"),
-            sweep_param="n_devices",
-            sweep_values=(10, 20, 30),
-        )
-    if name == "fig5":
-        return ExperimentConfig(
-            rho=2.0,
-            methods=("bound", "r-circle", "wmmse", "zf", "mrt"),
-            sweep_param="n_devices",
-            sweep_values=(10, 20, 30),
-        )
-    if name == "fig6":
-        return ExperimentConfig(
-            n_devices=30,
-            rho=2.0,
-            methods=("bound", "r-circle", "wmmse", "zf", "mrt"),
-            sweep_param="snr_db",
-            sweep_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        )
-    raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    return ExperimentConfig(**_PRESETS[name])
 
 
 class _SweepContext:

@@ -2,8 +2,9 @@
 
 A frame is a length-N symbol vector: the first K = N - 2 entries carry
 device payloads, the last two are known pilots (both 1 by default).  The
-same frame is sent N times, once through each slot precoder, scaled by
-1/sqrt(N) so the expected transmit power per slot is one.
+same frame is sent N times, once through each slot precoder (the (N, N, N)
+array of ``dftcore.build_precoders``), scaled by 1/sqrt(N) so the expected
+transmit power per slot is one.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseModel
-from .dftcore import PrecoderSet
+from .channel import ChannelRealization, NoiseModel, _complex_normal
 
 __all__ = ["make_frame", "transmit", "receive"]
 
@@ -75,15 +75,14 @@ def make_frame(
     return Frame(symbols=symbols)
 
 
-def transmit(precoders: PrecoderSet, frame: Frame) -> np.ndarray:
-    """Apply the slot precoders: row n0 of the C-ordered (n_slots, n_antennas)
-    result is x_{n0+1} = P_{n0+1} @ s / sqrt(N), whatever the slots' layout."""
-    if frame.n != precoders.n:
-        raise ValueError(
-            f"frame length {frame.n} does not match precoder size {precoders.n}"
-        )
-    n = precoders.n
-    return np.einsum("npk,k->np", precoders.slots, frame.symbols, order="C") / np.sqrt(n)
+def transmit(precoders: np.ndarray, frame: Frame) -> np.ndarray:
+    """Apply the (N, N, N) slots of ``dftcore.build_precoders``: row n0 of
+    the C-ordered (n_slots, n_antennas) result is
+    x_{n0+1} = precoders[n0] @ s / sqrt(N), whatever the slots' layout."""
+    n = precoders.shape[0]
+    if frame.n != n:
+        raise ValueError(f"frame length {frame.n} does not match precoder size {n}")
+    return np.einsum("npk,k->np", precoders, frame.symbols, order="C") / np.sqrt(n)
 
 
 def receive(
@@ -95,21 +94,15 @@ def receive(
 ) -> ReceivedBlock:
     """Synthesize one device's received block on subcarrier m.
 
-    y(n) = sqrt(p_t) * h^H x_n + z(n) with z ~ CN(0, sigma^2 I).  With zero
-    noise variance the block is exactly the noiseless signal (the generator
-    is still consumed so seeded runs stay aligned).
+    y(n) = sqrt(p_t) * h^H x_n + z(n) with z ~ CN(0, sigma^2 I), drawn by
+    ``channel._complex_normal`` as the channel gains are.  With zero noise
+    variance the block is exactly the noiseless signal (the generator is
+    still consumed so seeded runs stay aligned).
     """
     h = channel.subcarrier(m)
     if xs.shape[1] != h.shape[0]:
         raise ValueError("transmit vectors and channel dimension mismatch")
-    n_slots = xs.shape[0]
-    re = rng.standard_normal(n_slots)
-    im = rng.standard_normal(n_slots)
-    # bitwise (re + 1j*im) * scale and sqrt(p_t) * (xs @ h^*) + z, in place
-    scale = np.sqrt(noise.variance / 2.0)
-    z = np.empty(n_slots, dtype=complex)
-    np.multiply(re, scale, out=z.real)
-    np.multiply(im, scale, out=z.imag)
+    z = _complex_normal(rng, noise.variance, xs.shape[0])
     y = xs @ h.conj()
     y *= np.sqrt(noise.tx_power)
     y += z

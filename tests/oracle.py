@@ -5,7 +5,7 @@ The simulator evaluates each quantity here once, in batched code:
 ``per_device_max_se``, ``estimation.sweep_scores`` and
 ``seeding.seed_words``.  This module writes each as one plain formula for
 one device, one candidate or one pair of family members, built from
-``family.member(k)`` and ``precoders.slot(n)`` products and never from the
+``family.member(k)`` and ``precoders[n - 1]`` products and never from the
 batched code, so the tests can hold that code to something it does not
 share.  The simulator never evaluates two of them: ``snr_db``, the
 received SNR of one realization, whose ensemble mean in linear scale the
@@ -40,10 +40,10 @@ def receiver_noise(rng, n: int, noise) -> np.ndarray:
 
 def received_block(h, symbols, precoders, noise, rng) -> np.ndarray:
     """One device's block on one subcarrier, slot by slot:
-    y_n = sqrt(p_t) * h^H (P_n s / sqrt(N)) + z_n, with P_n = ``precoders.slot(n)``
+    y_n = sqrt(p_t) * h^H (P_n s / sqrt(N)) + z_n, with P_n = ``precoders[n - 1]``
     and z the :func:`receiver_noise` of ``rng``."""
     n = len(symbols)
-    signal = [np.vdot(h, precoders.slot(s) @ symbols / math.sqrt(n)) for s in range(1, n + 1)]
+    signal = [np.vdot(h, precoders[s - 1] @ symbols / math.sqrt(n)) for s in range(1, n + 1)]
     return math.sqrt(noise.tx_power) * np.array(signal) + receiver_noise(rng, n, noise)
 
 

@@ -100,7 +100,7 @@ def test_criterion_03_noiseless_end_to_end():
             [cm.sample_channel(geom, k, rng, prof).h[0] for k in range(1, k_dev + 1)]
         )
         # per-slot response of every device: a[n0, k0, :] = h_k^H P_{n0+1}
-        a = np.einsum("kj,njp->nkp", h.conj(), pre.slots)
+        a = np.einsum("kj,njp->nkp", h.conj(), pre)
         combiners = np.stack(
             [fam.member(k).conj().T @ (1.0 / h[k - 1].conj()) for k in range(1, k_dev + 1)]
         )

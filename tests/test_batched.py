@@ -322,7 +322,7 @@ def scalar_sweep(cfg, ctx, trial):
         # the harness forms the same block from another order of the same
         # products: each of the two N-term sums errs by up to 2(N+1) eps of
         # its terms, and the noise is added once more
-        terms = [np.abs(h[k0, m0]) @ (np.abs(ctx.precoders.slot(s)) @ np.abs(symbols))
+        terms = [np.abs(h[k0, m0]) @ (np.abs(ctx.precoders[s - 1]) @ np.abs(symbols))
                  for s in range(1, n + 1)]
         y_err = 4 * (n + 1) * EPS * math.sqrt(noise.tx_power / n) * np.array(terms)
         y_err += 2 * EPS * np.abs(y)

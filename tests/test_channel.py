@@ -40,6 +40,16 @@ class TestGeometry:
         assert np.array_equal(wide.phase_base, NARROW.phase_base)
         assert not ArrayGeometry(n_antennas=8, carrier_freq_hz=100e9, n_subcarriers=2).is_narrowband
 
+    def test_freq_ratios_follow_the_subcarrier_plan(self):
+        geom = ArrayGeometry(
+            n_antennas=4, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=10
+        )
+        want = [geom.subcarrier_freq_hz(m) / 100e9 for m in range(1, 11)]
+        assert geom.freq_ratios.tolist() == want
+        with pytest.raises(ValueError):
+            geom.freq_ratios[0] = 1.0
+        assert NARROW.freq_ratios.tolist() == [1.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrayGeometry(n_antennas=0, carrier_freq_hz=1e9)
@@ -123,6 +133,21 @@ class TestSampleChannel:
         b = sample_channel(NARROW, 1, np.random.default_rng(77), prof)
         assert (a.h == b.h).all()
         assert a.los_aod == b.los_aod
+
+    def test_gains_are_scaled_normal_draws(self):
+        # angles first, then the LoS and the NLoS gains, each as its real
+        # normals, then its imaginary normals, times sqrt(var / 2)
+        geom = ArrayGeometry(
+            n_antennas=8, carrier_freq_hz=100e9, bandwidth_hz=10e9, n_subcarriers=3
+        )
+        prof = ChannelProfile(los_var=2.0, nlos_var=0.5, n_nlos=2)
+        ch = sample_channel(geom, 1, np.random.default_rng(11), prof)
+        rng = np.random.default_rng(11)
+        rng.uniform(0.0, prof.angular_range, size=3)
+        for gains, var, shape in ((ch.los_gain, 2.0, (3,)), (ch.nlos_gains, 0.5, (3, 2))):
+            scale = math.sqrt(var / 2.0)
+            re = scale * rng.standard_normal(shape)
+            assert np.array_equal(gains, re + 1j * (scale * rng.standard_normal(shape)))
 
     def test_materialized_channel_matches_parts(self):
         geom = ArrayGeometry(

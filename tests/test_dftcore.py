@@ -156,21 +156,21 @@ class TestFamily:
 class TestPrecoders:
     def test_trivial_size(self):
         pre = build_precoders(build_family(1))
-        assert pre.slot(1).tolist() == [[1.0 + 0.0j]]
+        assert pre[0].tolist() == [[1.0 + 0.0j]]
 
     def test_slot_column_lookup(self):
         # slot 1, column 3 is base column index((1,3)) = 3
         fam = build_family(4)
         pre = build_precoders(fam)
         u = build_dft(4)
-        np.testing.assert_array_equal(pre.slot(1)[:, 2], u[:, 2])
+        np.testing.assert_array_equal(pre[0][:, 2], u[:, 2])
 
     def test_reassembly_is_bit_exact(self):
         for n in (2, 3, 8, 16):
             fam = build_family(n)
             pre = build_precoders(fam)
             for k in range(1, n + 1):
-                stacked = np.stack([pre.slot(s)[:, k - 1] for s in range(1, n + 1)], axis=1)
+                stacked = np.stack([pre[s - 1][:, k - 1] for s in range(1, n + 1)], axis=1)
                 assert (stacked == fam.member(k)).all()
 
     def test_each_slot_unitary_and_norm_preserving(self):
@@ -179,7 +179,7 @@ class TestPrecoders:
             pre = build_precoders(build_family(n))
             s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for slot in range(1, n + 1):
-                p = pre.slot(slot)
+                p = pre[slot - 1]
                 assert np.linalg.norm(p @ p.conj().T - np.eye(n)) < 1e-10 * n
                 assert abs(np.linalg.norm(p @ s) - np.linalg.norm(s)) < 1e-12 * np.linalg.norm(s)
 
@@ -232,8 +232,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", SIZES)
     def test_slots_are_the_transposed_members(self, n):
         fam = build_family(n)
-        slots = build_precoders(fam).slots
+        slots = build_precoders(fam)
         assert np.array_equal(slots, np.transpose(gathered_family_oracle(n), (2, 1, 0)))
+        assert np.shares_memory(slots, fam.members)
         assert_read_only_window(slots, n)
 
     @pytest.mark.parametrize("n", SIZES)

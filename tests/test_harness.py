@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from circle_mimo.baselines import WMMSE_MAX_ITERS
 from circle_mimo.cli import main as cli_main
-from circle_mimo.dftcore import PermutedDftFamily, PrecoderSet
+from circle_mimo.dftcore import PermutedDftFamily
 from circle_mimo.harness import (
     KNOWN_METHODS,
     PRESET_NAMES,
@@ -373,7 +373,7 @@ class TestRunExperiment:
         windows = _SweepContext(cfg, None)
         copies = _SweepContext(cfg, None)
         copies.family = PermutedDftFamily(copies.n, np.ascontiguousarray(copies.family.members))
-        copies.precoders = PrecoderSet(copies.n, np.ascontiguousarray(copies.precoders.slots))
+        copies.precoders = np.ascontiguousarray(copies.precoders)
         copies.diagonals = np.ascontiguousarray(copies.diagonals)
         for trial in range(3):
             assert ([_comparable(row) for row in windows.run_trial(trial)]
