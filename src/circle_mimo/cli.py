@@ -88,11 +88,14 @@ def _print_summary(results) -> None:
 
 
 def _report_wmmse(results) -> None:
-    """One stderr line counting the wmmse solves that ran out of iterations."""
-    converged = [c for res in results if res.method == "wmmse" for c in res.converged]
-    if converged:
+    """One stderr line per sweep point, in sweep order, counting capped wmmse solves."""
+    points: dict = {}
+    for res in (r for r in results if r.method == "wmmse"):
+        points.setdefault((res.sweep_param, res.sweep_value), []).extend(res.converged)
+    for (param, value), converged in points.items():
+        where = "" if param is None else f"{param}={value:g}: "
         print(
-            f"wmmse: {converged.count(False)} of {len(converged)} solves stopped at the "
+            f"wmmse: {where}{converged.count(False)} of {len(converged)} solves stopped at the "
             f"{WMMSE_MAX_ITERS}-iteration cap (baselines.WMMSE_MAX_ITERS) without converging",
             file=sys.stderr,
         )

@@ -3,9 +3,11 @@
 The receiver never trains: it sweeps a grid of candidate departure angles,
 estimates the complex gain of each candidate from pilot slot N-1, scores
 the resulting channel guess with the pilot-slot-N SINR estimate, and keeps
-the best-scoring candidate.  The wideband variant shares the angle grid
-across subcarriers and ranks candidates by the subcarrier-averaged score,
-which is what makes it robust to noise and multipath.
+the best-scoring candidate.  The wideband search shares the angle grid
+across subcarriers and ranks candidates by the subcarrier-summed score,
+which is what makes it robust to noise and multipath; the narrowband
+search is the wideband search of one block.  One sweep, ``sweep_scores``,
+scores a stack of devices' blocks for both.
 """
 
 from __future__ import annotations
@@ -118,31 +120,27 @@ def sweep_scores(
     noise: NoiseModel,
     cap: float = SINR_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Codebook sweep over all subcarriers of one device or of a few at once.
+    """Codebook sweep over all subcarriers of a stack of devices.
 
-    ``ys`` holds one device's received blocks, (M, N), or those of C
-    devices that share the pilots, (C, M, N); ``vectors[m0]`` the (N, D)
-    candidate steering vectors of subcarrier m0+1, as an (M, N, D) array
-    (:meth:`Codebook.tables`) or a list, which each call stacks; ``pilots``
-    the (M, 2) pilot pairs.  Every block is combined with members N-1 and N
-    in one batch of matrix-vector products; then, per subcarrier, one
-    matrix product over the 2*C combined rows forms every candidate's pair
-    of inner products d_1, d_2, and one elementwise pass scores them: the
-    gain estimate alpha^* = d_1 / p_1 and log2(1 + gamma), where
+    ``ys`` holds the received blocks of C devices that share the pilots,
+    (C, M, N), a one-device sweep being a stack of one; ``vectors[m0]`` the
+    (N, D) candidate steering vectors of subcarrier m0+1, as an (M, N, D)
+    array (:meth:`Codebook.tables`) or a list, which each call stacks;
+    ``pilots`` the (M, 2) pilot pairs.  Every block is combined with members
+    N-1 and N in one batch of matrix-vector products; then, per subcarrier,
+    one matrix product over the 2*C combined rows forms every candidate's
+    pair of inner products d_1, d_2, and one elementwise pass scores them:
+    the gain estimate alpha^* = d_1 / p_1 and log2(1 + gamma), where
     gamma = |p_2|^2 |alpha|^2 / |d_2 - p_2 alpha|^2 is the pilot-slot-N SINR
     estimate without the division by the gain and p_j = sqrt(p_t*N) pilot j.
 
     Every column of ``vectors`` is scored; the tables of a codebook hold
     one column per distinct sine.  Returns ``(scores, alpha_conj)``, each
-    (M, D) or (C, M, D) as ``ys``, with one column per column of
-    ``vectors``.
+    (C, M, D), with one column per column of ``vectors``.
     """
     ys = np.asarray(ys)
     vectors = np.asarray(vectors)
     pilots = np.asarray(pilots, dtype=complex)
-    one_device = ys.ndim == 2
-    if one_device:
-        ys = ys[None]
     c, mm, n = ys.shape
     if np.any(pilots == 0):
         raise ValueError("pilot symbols must be nonzero")
@@ -171,11 +169,7 @@ def sweep_scores(
     np.log2(scores, out=scores)
 
     # (M, C, D) to per-device (C, M, D) rows, as views
-    scores = scores.transpose(1, 0, 2)
-    alpha_conj = alpha_conj.transpose(1, 0, 2)
-    if one_device:
-        return scores[0], alpha_conj[0]
-    return scores, alpha_conj
+    return scores.transpose(1, 0, 2), alpha_conj.transpose(1, 0, 2)
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -192,22 +186,20 @@ def narrowband_search(
     vectors: np.ndarray | None = None,
     sweep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimationResult:
-    """Single-subcarrier codebook sweep: the pick of :func:`wideband_search`
-    on one block, with weight 1 so that the score is the block's own.
+    """Single-subcarrier codebook sweep: :func:`wideband_search` of the one
+    block, so its score pays the cyclic prefix, 1/(1 + L_cp), as
+    ``receiver.spectral_efficiency`` does at M = 1.
 
-    The candidates that share a sine share a steering vector, so the sweep
-    scores each distinct sine once and the pick lands on the lowest grid
-    index with that sine (``Codebook.distinct``); exact ties between sines
-    go to the lowest index too, as ``distinct`` ascends.  ``vectors`` can
-    carry the precomputed (N, D) table of the block's subcarrier, and
-    ``sweep`` the block's precomputed ``(scores, alpha_conj)`` rows of
-    :func:`sweep_scores` on it, each (D,).
+    ``vectors`` can carry the precomputed (N, D) table of the block's
+    subcarrier, and ``sweep`` the block's precomputed ``(scores,
+    alpha_conj)`` rows of :func:`sweep_scores` on it, each (D,); the search
+    views them as one block's (1, N, D) and (1, D).
     """
-    if vectors is not None:
-        vectors = vectors[None]
-    if sweep is not None:
-        sweep = (sweep[0][None], sweep[1][None])
-    return _search([block], family, codebook, geometry, pilots, noise, vectors, sweep, 1.0)
+    return wideband_search(
+        [block], family, codebook, geometry, pilots, noise,
+        None if vectors is None else vectors[None],
+        None if sweep is None else (sweep[0][None], sweep[1][None]),
+    )
 
 
 def wideband_search(
@@ -222,27 +214,20 @@ def wideband_search(
 ) -> EstimationResult:
     """Joint sweep across subcarriers sharing one departure angle.
 
-    Per-subcarrier scores of each distinct sine are summed with the
-    1/(M + L_cp) cyclic-prefix weight and the best mean picks a single
-    angle, at its lowest grid index as in :func:`narrowband_search`;
-    per-subcarrier gains are read off at it.  ``pilots`` is one pair for
-    every subcarrier, shape (2,), or one pair per subcarrier, shape (M, 2).
-    ``vectors`` can carry the blocks' precomputed (M, N, D) tables
-    (:meth:`Codebook.tables`), and ``sweep`` their precomputed
-    ``(scores, alpha_conj)`` of :func:`sweep_scores` on them, each (M, D).
+    The blocks' scores of each distinct sine are summed, the best sum picks
+    a single angle, first on exact ties, and the per-subcarrier gains are
+    read off at it.  The candidates that share a sine share a steering
+    vector, so the pick lands on the lowest grid index with that sine
+    (``Codebook.distinct``), and exact ties between sines go to the lowest
+    index too, as ``distinct`` ascends.  The score is the winning sum over
+    M + L_cp, M the number of blocks.  ``pilots`` is one pair for every
+    subcarrier, shape (2,), or one pair per subcarrier, shape (M, 2).
+    ``vectors`` can carry the blocks' precomputed (M, N, D) tables, else the
+    search takes its blocks' rows of :meth:`Codebook.tables`; ``sweep`` can
+    carry their precomputed ``(scores, alpha_conj)`` of :func:`sweep_scores`,
+    each (M, D), else the search scores its blocks as a stack of one at
+    :func:`sweep_scores`' own cap.
     """
-    weight = float(len(blocks) + geometry.cp_len)
-    return _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, weight)
-
-
-def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, weight):
-    """The one angle pick of both searches: the best of the D columns of the
-    blocks' summed scores over ``weight``, first on exact ties, with
-    ``h_hat`` gathered from the (M, N, D) tables at that column.  Without
-    ``vectors`` the search takes its blocks' rows of :meth:`Codebook.tables`,
-    and without ``sweep`` it scores them at :func:`sweep_scores`' own cap.
-    ``weight`` comes as a float, which NumPy 2 divides by at about half the
-    cost of an int; narrowband picks run K*M times a trial."""
     mm = len(blocks)
     if mm == 0:
         raise ValueError("need at least one received block")
@@ -256,9 +241,9 @@ def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, w
         vectors = codebook.tables(geometry)[[b.subcarrier - 1 for b in blocks]]
     vectors = np.asarray(vectors)
     if sweep is None:
-        ys = np.stack([b.y for b in blocks])
-        # one pair, as a (1, 2) row, broadcasts over the subcarriers
-        sweep = sweep_scores(ys, family, vectors, pilots.reshape(-1, 2), noise)
+        # a stack of one device; one pair, as a (1, 2) row, broadcasts over M
+        ys = np.stack([b.y for b in blocks])[None]
+        sweep = [rows[0] for rows in sweep_scores(ys, family, vectors, pilots.reshape(-1, 2), noise)]
     scores, alpha_conj = sweep
     width = codebook.distinct.size
     if scores.shape[-1] != width or vectors.shape[-1] != width:
@@ -267,15 +252,15 @@ def _search(blocks, family, codebook, geometry, pilots, noise, vectors, sweep, w
             f"got rows of width {scores.shape[-1]} and tables of width {vectors.shape[-1]}"
         )
     # one row is its own sum: skip the reduction, K*M times a trial
-    mean_scores = (scores[0] if len(scores) == 1 else scores.sum(axis=0)) / weight
-    col = int(mean_scores.argmax())
+    total = scores[0] if len(scores) == 1 else scores.sum(axis=0)
+    col = int(total.argmax())
     alpha = np.conj(alpha_conj[:, col])
     return EstimationResult(
         device=blocks[0].device,
         q_star=int(codebook.distinct[col]) + 1,
         alpha_hat=alpha,
         h_hat=alpha[:, None] * vectors[:, :, col],
-        score=float(mean_scores[col]),
+        score=float(total[col]) / (mm + geometry.cp_len),
     )
 
 

@@ -141,9 +141,10 @@ class TestSweepScores:
         vectors = CB.tables(geom)
         vectors[0, :, 3] = 0.0  # a candidate whose gain estimate is exactly zero
 
-        ys = np.stack([b.y for b in blocks])
+        ys = np.stack([b.y for b in blocks])[None]  # a stack of one device
         scores, alpha_conj = sweep_scores(ys, FAM, vectors, pilots, noise, cap)
-        assert scores.shape == alpha_conj.shape == (mm, CB.distinct.size)
+        assert scores.shape == alpha_conj.shape == (1, mm, CB.distinct.size)
+        scores, alpha_conj = scores[0], alpha_conj[0]
         for m0 in range(mm):
             for j in range(CB.distinct.size):
                 check_candidate(alpha_conj[m0, j], scores[m0, j], vectors[m0, :, j],
@@ -163,7 +164,7 @@ class TestSweepScores:
         vectors = [np.ones((N, 3), dtype=complex), np.ones((N, 3), dtype=complex)]
         vectors[0][:, 1] = np.exp(1j * rng.uniform(0, 6, N))
         pilots = np.ones((2, 2), dtype=complex)
-        scores, _ = sweep_scores(ys, fam, vectors, pilots, noise, 1e8)
+        scores = sweep_scores(ys[None], fam, vectors, pilots, noise, 1e8)[0][0]
         assert scores[0, 0] == scores[0, 2] == math.log2(1.0 + 1e8)
         assert np.all(scores[1] == 0.0)
         for q0 in range(3):
@@ -176,13 +177,15 @@ class TestSweepScores:
         geom, blocks = device_blocks(rng, 2, NoiseModel(variance=0.1), np.ones((2, 2)))
         ys = np.stack([b.y for b in blocks])
         ys[1, 3] = np.nan
-        scores, _ = sweep_scores(ys, FAM, CB.tables(geom), np.ones((2, 2)), NoiseModel(), SINR_CAP)
+        scores = sweep_scores(
+            ys[None], FAM, CB.tables(geom), np.ones((2, 2)), NoiseModel(), SINR_CAP
+        )[0][0]
         assert np.all(scores[1] == 0.0)
         assert np.all(np.isfinite(scores[0])) and np.any(scores[0] > 0)
 
     def test_zero_pilot_rejected(self):
-        ys = np.ones((1, N), dtype=complex)
-        with pytest.raises(ValueError):
+        ys = np.ones((1, 1, N), dtype=complex)
+        with pytest.raises(ValueError, match="^pilot symbols must be nonzero"):
             sweep_scores(ys, FAM, CB.tables(ArrayGeometry(N, 100e9)),
                          np.array([[1.0, 0.0]]), NoiseModel(), SINR_CAP)
 
@@ -194,7 +197,7 @@ class TestSweepScores:
         noise = NoiseModel(variance=0.1)
         pilots = np.ones((2, 2), dtype=complex)
         geom, blocks = device_blocks(rng, 2, noise, pilots)
-        ys = np.stack([b.y for b in blocks])
+        ys = np.stack([b.y for b in blocks])[None]
         first = sweep_scores(ys, fam, CB.tables(geom), pilots, noise, SINR_CAP)
         combiners = fam.combiners
         second = sweep_scores(ys, fam, CB.tables(geom), pilots, noise, SINR_CAP)
@@ -219,9 +222,9 @@ def test_searches_equal_with_and_without_a_precomputed_sweep(seed):
     noise = NoiseModel(variance=0.1, tx_power=1.0)
     pilots = np.ones((mm, 2), dtype=complex)
     geom, blocks = device_blocks(rng, mm, noise, pilots)
-    scores, alpha_conj = sweep_scores(
-        np.stack([b.y for b in blocks]), FAM, CB.tables(geom), pilots, noise, SINR_CAP
-    )
+    scores, alpha_conj = (rows[0] for rows in sweep_scores(
+        np.stack([b.y for b in blocks])[None], FAM, CB.tables(geom), pilots, noise, SINR_CAP
+    ))
     pairs = [tuple(p) for p in pilots]
     for m0 in range(mm):
         plain = narrowband_search(blocks[m0], FAM, CB, geom, pairs[m0], noise)
@@ -546,7 +549,8 @@ class TestFoldedSweep:
         for m0 in range(mm):
             narrow = narrowband_search(blocks[m0], FAM, cb, geom, pairs[m0], NoiseModel(),
                                        sweep=(scores[m0], alpha_conj[m0]))
-            assert narrow.q_star == low + 1 and narrow.score == 2.0
+            # one block pays the cyclic prefix: 2 / (1 + L_cp)
+            assert narrow.q_star == low + 1 and narrow.score == 2.0 / (1 + geom.cp_len)
             assert narrow.alpha_hat[0] == np.conj(alpha_conj[m0, cols[0]])
 
     def test_searches_reject_rows_of_another_fold(self):
@@ -566,7 +570,7 @@ class TestFoldedSweep:
         cb = make_codebook(512, 2 * math.pi)
         geom, noise, pilots, _, ys = self.draw(11, k_dev, 3, cb)
         vectors = cb.tables(geom)
-        alone = [sweep_scores(ys[k0], FAM, vectors, pilots, noise, SINR_CAP)
+        alone = [sweep_scores(ys[k0, None], FAM, vectors, pilots, noise, SINR_CAP)
                  for k0 in range(k_dev)]
         for chunk in range(1, k_dev + 1):  # 3, 4, 5 and 6 leave a shorter last chunk
             for c0 in range(0, k_dev, chunk):
@@ -574,8 +578,8 @@ class TestFoldedSweep:
                     ys[c0 : c0 + chunk], FAM, vectors, pilots, noise, SINR_CAP
                 )
                 for i, k0 in enumerate(range(c0, min(c0 + chunk, k_dev))):
-                    assert np.array_equal(scores[i], alone[k0][0])
-                    assert np.array_equal(alpha_conj[i], alone[k0][1])
+                    assert np.array_equal(scores[i], alone[k0][0][0])
+                    assert np.array_equal(alpha_conj[i], alone[k0][1][0])
 
     def test_searches_read_a_folded_chunk_as_their_own_sweep(self):
         # r-circle and circle on a chunk's rows pick what they pick on the

@@ -158,15 +158,16 @@ class TestSameSineTieBreak:
             blocks = [receive(ch, transmit(PRE, frames[m0]), noise, rng, m0 + 1)
                       for m0 in range(3)]
             pilots = [(f.pilot1, f.pilot2) for f in frames]
-            scores, alpha_conj = sweep_scores(
-                np.stack([b.y for b in blocks]), FAM, vectors, pilots, noise
-            )
+            scores, alpha_conj = (rows[0] for rows in sweep_scores(
+                np.stack([b.y for b in blocks])[None], FAM, vectors, pilots, noise
+            ))
             for m0 in range(3):
                 res = narrowband_search(blocks[m0], FAM, cb, geom, pilots[m0], noise)
                 q0 = res.q_star - 1
                 j = column[q0]
                 assert first[q0] == q0
-                assert res.score == scores[m0, j]
+                # one block pays the cyclic prefix, as wideband's M blocks do
+                assert res.score == scores[m0, j] / (1 + geom.cp_len)
                 assert np.array_equal(res.h_hat[0], np.conj(alpha_conj[m0, j]) * vectors[m0, :, j])
             res = wideband_search(blocks, FAM, cb, geom, pilots, noise)
             q0 = res.q_star - 1
@@ -308,15 +309,18 @@ class TestWidebandSearch:
         return ch, frames, blocks
 
     def test_single_subcarrier_reduces_to_narrowband(self):
-        rng = np.random.default_rng(12)
         noise = NoiseModel(variance=0.3, tx_power=1.0)
-        ch = los_channel(GEOM, 0.8, 0.61)
-        frame, block = one_block(ch, rng, noise=noise)
-        wide = wideband_search([block], FAM, CB, GEOM, (frame.pilot1, frame.pilot2), noise)
-        narrow = narrowband_search(block, FAM, CB, GEOM, (frame.pilot1, frame.pilot2), noise)
-        assert wide.q_star == narrow.q_star
-        assert (wide.h_hat == narrow.h_hat).all()
-        assert wide.score == narrow.score
+        # without and with a cyclic prefix, which both searches' scores pay
+        for geom in (GEOM, ArrayGeometry(n_antennas=16, carrier_freq_hz=100e9, cp_len=3)):
+            rng = np.random.default_rng(12)
+            ch = los_channel(geom, 0.8, 0.61)
+            frame, block = one_block(ch, rng, noise=noise)
+            wide = wideband_search([block], FAM, CB, geom, (frame.pilot1, frame.pilot2), noise)
+            narrow = narrowband_search(block, FAM, CB, geom, (frame.pilot1, frame.pilot2), noise)
+            assert wide.q_star == narrow.q_star
+            assert np.array_equal(wide.alpha_hat, narrow.alpha_hat)
+            assert (wide.h_hat == narrow.h_hat).all()
+            assert wide.score == narrow.score
 
     def test_noiseless_on_grid_recovers_all_gains(self):
         rng = np.random.default_rng(13)

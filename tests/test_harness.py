@@ -628,6 +628,29 @@ class TestCli:
         write_csv([replace(r, iterations=(), converged=()) for r in results], bare)
         assert out.read_bytes() == bare.read_bytes()
 
+    def test_wmmse_report_has_one_line_per_sweep_point_in_sweep_order(self, tmp_path, capsys):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(
+            "n_devices = 8\nn_subcarriers = 2\nn_trials = 2\nseed = 5\nmethods = wmmse\n"
+            "sweep_param = snr_db\nsweep_values = 20, 2.5\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["run", "--config", str(cfgfile), "--out", str(out), "--quiet"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+
+        results = list(run_experiment(load_config_file(cfgfile)))
+        want = []
+        for value, shown in ((20.0, "20"), (2.5, "2.5")):  # sweep order, values as :g
+            converged = [c for r in results if r.sweep_value == value for c in r.converged]
+            want.append(
+                f"wmmse: snr_db={shown}: {converged.count(False)} of {len(converged)} solves "
+                f"stopped at the {WMMSE_MAX_ITERS}-iteration cap (baselines.WMMSE_MAX_ITERS) "
+                "without converging"
+            )
+        assert lines == want
+        # the points' counts sum to the solves run: one per trial and subcarrier
+        assert sum(int(line.split(" of ")[1].split()[0]) for line in lines) == 2 * 2 * 2
+
     def test_no_wmmse_report_without_wmmse(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert cli_main(["run", "--preset", "fig2", "--trials", "1", "--out", str(out), "--quiet"]) == 0
